@@ -11,6 +11,34 @@ cd "$(dirname "$0")"
 BIN=$(mktemp -d)
 trap 'rm -rf "$BIN"; [ -n "${SERVE_PID:-}" ] && kill "$SERVE_PID" 2>/dev/null || true' EXIT
 
+# start_serve LOG LABEL [FLAG...] launches bfpp-serve on an ephemeral port
+# with the extra flags, its output in LOG, and waits for the "listening on"
+# line: it sets SERVE_PID and URL, or fails the run as "LABEL did not come
+# up" with the log.
+start_serve() {
+	log=$1
+	label=$2
+	shift 2
+	# Create the log up front: the background child opens it only after
+	# the fork, and a sed on a missing file would end the run under set -e.
+	: > "$log"
+	"$BIN/bfpp-serve" -addr 127.0.0.1:0 "$@" > "$log" 2>&1 &
+	SERVE_PID=$!
+	URL=""
+	for i in $(seq 1 50); do
+		URL=$(sed -n 's#.*listening on ##p' "$log")
+		[ -n "$URL" ] && break
+		sleep 0.1
+	done
+	[ -n "$URL" ] || { echo "$label did not come up"; cat "$log"; exit 1; }
+}
+
+# stop_serve drains the running bfpp-serve (SIGTERM) and forgets its pid.
+stop_serve() {
+	kill "$SERVE_PID" 2>/dev/null && wait "$SERVE_PID" 2>/dev/null || true
+	SERVE_PID=""
+}
+
 echo "== go build"
 go build ./...
 go build -o "$BIN/bfpp-serve" ./cmd/bfpp-serve
@@ -46,15 +74,7 @@ echo "   SweepAppendixELarge interactive-deadline assertion)"
 go test -run '^$' -bench . -benchtime=1x . > /dev/null
 
 echo "== HTTP smoke (bfpp-serve on an ephemeral port vs in-process table)"
-"$BIN/bfpp-serve" -addr 127.0.0.1:0 > "$BIN/serve.out" 2>&1 &
-SERVE_PID=$!
-URL=""
-for i in $(seq 1 50); do
-	URL=$(sed -n 's#.*listening on ##p' "$BIN/serve.out")
-	[ -n "$URL" ] && break
-	sleep 0.1
-done
-[ -n "$URL" ] || { echo "bfpp-serve did not come up"; cat "$BIN/serve.out"; exit 1; }
+start_serve "$BIN/serve.out" bfpp-serve
 go run ./scripts/httpsmoke "$URL" \
 	'{"model":"6.6B","cluster":"paper","batches":[32,64]}' > "$BIN/table.http"
 go run ./cmd/bfpp-search -model 6.6B -batches 32,64 2>/dev/null > "$BIN/table.cli"
@@ -63,20 +83,11 @@ if ! cmp -s "$BIN/table.http" "$BIN/table.cli"; then
 	diff "$BIN/table.http" "$BIN/table.cli" || true
 	exit 1
 fi
-kill "$SERVE_PID" 2>/dev/null && wait "$SERVE_PID" 2>/dev/null || true
-SERVE_PID=""
+stop_serve
 echo "HTTP table byte-identical to the CLI table"
 
 echo "== HTTP chaos smoke (one injected transient fault; the retrying client must still byte-match)"
-"$BIN/bfpp-serve" -addr 127.0.0.1:0 -chaos job:error:1 > "$BIN/serve-chaos.out" 2>&1 &
-SERVE_PID=$!
-URL=""
-for i in $(seq 1 50); do
-	URL=$(sed -n 's#.*listening on ##p' "$BIN/serve-chaos.out")
-	[ -n "$URL" ] && break
-	sleep 0.1
-done
-[ -n "$URL" ] || { echo "chaos bfpp-serve did not come up"; cat "$BIN/serve-chaos.out"; exit 1; }
+start_serve "$BIN/serve-chaos.out" "chaos bfpp-serve" -chaos job:error:1
 go run ./scripts/httpsmoke "$URL" \
 	'{"model":"6.6B","cluster":"paper","batches":[32,64]}' > "$BIN/table.chaos"
 if ! cmp -s "$BIN/table.chaos" "$BIN/table.cli"; then
@@ -84,23 +95,14 @@ if ! cmp -s "$BIN/table.chaos" "$BIN/table.cli"; then
 	diff "$BIN/table.chaos" "$BIN/table.cli" || true
 	exit 1
 fi
-kill "$SERVE_PID" 2>/dev/null && wait "$SERVE_PID" 2>/dev/null || true
-SERVE_PID=""
+stop_serve
 echo "chaos table byte-identical to the CLI table (client retried through the fault)"
 
 echo "== kill-and-resume smoke (SIGKILL mid-sweep; the restarted server must"
 echo "   resume from its journal and still byte-match bfpp-search)"
 STORE="$BIN/store"
 KILL_REQ='{"model":"6.6B","cluster":"paper","families":["every"],"batches":[8,16,32,64,128,256,512,1024],"no_prune":true}'
-"$BIN/bfpp-serve" -addr 127.0.0.1:0 -store "$STORE" > "$BIN/serve-kill.out" 2>&1 &
-SERVE_PID=$!
-URL=""
-for i in $(seq 1 50); do
-	URL=$(sed -n 's#.*listening on ##p' "$BIN/serve-kill.out")
-	[ -n "$URL" ] && break
-	sleep 0.1
-done
-[ -n "$URL" ] || { echo "store-backed bfpp-serve did not come up"; cat "$BIN/serve-kill.out"; exit 1; }
+start_serve "$BIN/serve-kill.out" "store-backed bfpp-serve" -store "$STORE"
 # Fire a slow unpruned sweep, wait for the first checkpoints to reach the
 # journal, then SIGKILL the server mid-flight: no drain, no shutdown hooks
 # — only the per-record fsyncs in the sweep journal survive. The orphaned
@@ -122,15 +124,7 @@ if [ -s "$STORE/sweeps.journal" ]; then
 else
 	echo "note: the sweep was killed before its first checkpoint (resume degenerates to a fresh run)"
 fi
-"$BIN/bfpp-serve" -addr 127.0.0.1:0 -store "$STORE" > "$BIN/serve-resume.out" 2>&1 &
-SERVE_PID=$!
-URL=""
-for i in $(seq 1 50); do
-	URL=$(sed -n 's#.*listening on ##p' "$BIN/serve-resume.out")
-	[ -n "$URL" ] && break
-	sleep 0.1
-done
-[ -n "$URL" ] || { echo "restarted bfpp-serve did not come up"; cat "$BIN/serve-resume.out"; exit 1; }
+start_serve "$BIN/serve-resume.out" "restarted bfpp-serve" -store "$STORE"
 go run ./scripts/httpsmoke "$URL" "$KILL_REQ" > "$BIN/table.resumed"
 go run ./cmd/bfpp-search -model 6.6B -families every -noprune \
 	-batches 8,16,32,64,128,256,512,1024 2>/dev/null > "$BIN/table.resume-want"
@@ -139,8 +133,7 @@ if ! cmp -s "$BIN/table.resumed" "$BIN/table.resume-want"; then
 	diff "$BIN/table.resumed" "$BIN/table.resume-want" || true
 	exit 1
 fi
-kill "$SERVE_PID" 2>/dev/null && wait "$SERVE_PID" 2>/dev/null || true
-SERVE_PID=""
+stop_serve
 echo "resumed table byte-identical to the CLI table (journal replayed across the SIGKILL)"
 
 echo "== calibrate smoke (tiny measure budget; the fit and the search it feeds must be deterministic)"

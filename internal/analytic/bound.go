@@ -8,15 +8,14 @@ package analytic
 // warm-up, single-micro-batch latency, exposed communication for
 // non-overlapped implementations) and the generator's Traits.StepFloor
 // hook — priced for every enumerated candidate. LowerBound /
-// LowerBoundCached is tier 2: the generator's Traits.StepLB hook, which
-// for every generator with an implicit op sequence replays the schedule
-// recurrence on the engine's per-device compute/pp/dp stream model exactly
-// (bit-identical to the DES makespan, overlapped implementations
-// included), paid only when the floor fails to prune; generators without a
-// replayable sequence (the list-scheduled V-schedule) have no tier 2 and
-// their floor is the final bound. internal/search uses the bounds to order
-// candidates cheapest-first and to skip simulations that provably cannot
-// beat the incumbent.
+// LowerBoundCached is tier 2: schedule.ReplayLB, which replays the ops the
+// generator's own emitter writes on the engine's per-device compute/pp/dp
+// stream model exactly (bit-identical to the DES makespan, overlapped
+// implementations included), paid only when the floor fails to prune;
+// methods that are not schedule.Replayable (the list-scheduled V-schedule)
+// have no tier 2 and their floor is the final bound. internal/search uses
+// the bounds to order candidates cheapest-first and to skip simulations
+// that provably cannot beat the incumbent.
 
 import (
 	"bfpp/internal/core"
@@ -30,47 +29,32 @@ import (
 // LowerBound returns an admissible lower bound on the simulated batch time
 // of (c, m, p) under the engine calibration par (nil means
 // engine.Defaults()), and whether the bound is exact — equal, bit for bit,
-// to engine.SimulateOpts' BatchTime, which holds for every schedule whose
-// generator replays its implicit program on the engine's multi-stream
-// model (all the paper methods plus WS-1F1B, overlapped or not; only the
-// list-scheduled V-schedule reports a floor). The plan must be valid for
-// the model.
+// to engine.SimulateOpts' BatchTime, which holds for every
+// schedule.Replayable method (all the paper methods plus WS-1F1B,
+// overlapped or not; only the list-scheduled V-schedule reports a floor).
+// The plan must be valid for the model.
 func LowerBound(c hw.Cluster, m model.Transformer, p core.Plan, par *engine.Params) (lb float64, exact bool) {
 	return LowerBoundCached(c, m, p, par, nil)
 }
 
-// LowerBoundCached is LowerBound with a prefix-amortization cache: when the
-// generator registered a StepLBCached hook and rc is non-nil, candidates
-// sharing an op-sequence prefix (the search passes one cache per pricing
-// group) checkpoint and resume the replay instead of re-running it. The
-// returned bound is identical to LowerBound's — the cache is a pure
-// performance channel — and a nil rc degrades to the uncached replay.
+// LowerBoundCached is LowerBound with a prefix-amortization cache: when rc
+// is non-nil, candidates sharing a replay prefix (the search passes one
+// cache per pricing group) checkpoint and resume the replay instead of
+// re-running it. The returned bound is identical to LowerBound's — the
+// cache is a pure performance channel — and a nil rc degrades to the
+// uncached replay.
 func LowerBoundCached(c hw.Cluster, m model.Transformer, p core.Plan, par *engine.Params, rc *schedule.ReplayCache) (lb float64, exact bool) {
 	pr := engine.Defaults()
 	if par != nil {
 		pr = *par
 	}
 	costs := engine.DeriveCosts(c, m, p, pr)
-	tr := schedule.TraitsOf(p.Method)
-	var h float64
-	switch {
-	case tr.StepLBCached != nil:
-		var ok bool
-		if h, ok = tr.StepLBCached(p, costs, rc); ok {
-			// The replay IS the simulated time; the floors cannot improve
-			// on it and are not computed at all.
-			return h, true
-		}
-	case tr.StepLB != nil:
-		var ok bool
-		if h, ok = tr.StepLB(p, costs); ok {
-			return h, true
-		}
+	if h, ok := schedule.ReplayLB(p, costs, rc); ok {
+		// The replay IS the simulated time; the floors cannot improve on
+		// it and are not computed at all.
+		return h, true
 	}
-	if f := floorOf(p, costs, tr); f > h {
-		return f, false
-	}
-	return h, false
+	return floorOf(p, costs, schedule.TraitsOf(p.Method)), false
 }
 
 // Floor is the cascade's tier-1 price: the cheap admissible lower bound on

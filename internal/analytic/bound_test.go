@@ -75,9 +75,12 @@ func randomBoundPlan(rng *rand.Rand, m core.Method, traits schedule.Traits) (cor
 // the branch-and-bound evaluator: for randomized plans of every registered
 // generator, the analytic lower bound never exceeds the DES-simulated
 // batch time, and a bound reported exact matches it bit for bit. Since the
-// multi-stream replay, exactness is required of every generator with an
-// implicit op sequence — that is, everything except the list-scheduled
-// V-schedule — overlapped implementations and vee placements included.
+// multi-stream replay, exactness is required of every schedule.Replayable
+// method — everything except the list-scheduled V-schedule — overlapped
+// implementations and vee placements included. Every plan is also priced
+// through one ReplayCache shared across the method's plans, which must
+// return exactly the uncached bound: the cache is a pure performance
+// channel.
 func TestLowerBoundNeverExceedsSimulation(t *testing.T) {
 	c := hw.PaperCluster()
 	m := boundModel()
@@ -86,12 +89,17 @@ func TestLowerBoundNeverExceedsSimulation(t *testing.T) {
 		method := g.Method()
 		traits := g.Traits()
 		checked, exactSeen := 0, 0
+		rc := schedule.NewReplayCache()
 		for trial := 0; trial < 500 && checked < 60; trial++ {
 			p, ok := randomBoundPlan(rng, method, traits)
 			if !ok {
 				continue
 			}
 			lb, exact := LowerBound(c, m, p, nil)
+			if clb, cexact := LowerBoundCached(c, m, p, nil, rc); clb != lb || cexact != exact {
+				t.Errorf("%v: cached bound (%v, %v) != uncached (%v, %v) for %v",
+					method, clb, cexact, lb, exact, p)
+			}
 			res, err := engine.Simulate(c, m, p)
 			if err != nil {
 				t.Fatalf("%v: simulate %v: %v", method, p, err)
@@ -110,7 +118,7 @@ func TestLowerBoundNeverExceedsSimulation(t *testing.T) {
 					t.Errorf("%v: exact bound %v != simulated %v (diff %v) for %v",
 						method, lb, res.BatchTime, lb-res.BatchTime, p)
 				}
-			} else if method != core.VSchedule {
+			} else if schedule.Replayable(method) {
 				t.Errorf("%v: bound not exact for %v (the multi-stream replay must cover it)", method, p)
 			}
 		}

@@ -4,7 +4,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"bfpp/internal/core"
 	"bfpp/internal/cost"
 	"bfpp/internal/engine"
 	"bfpp/internal/hw"
@@ -80,7 +79,7 @@ func TestLowerBoundAdmissibleForEveryCostModel(t *testing.T) {
 							t.Errorf("%v: exact bound %v != simulated %v (diff %v) for %v",
 								method, lb, res.BatchTime, lb-res.BatchTime, p)
 						}
-					} else if method != core.VSchedule {
+					} else if schedule.Replayable(method) {
 						t.Errorf("%v: bound not exact for %v under the %s model", method, p, name)
 					}
 				}

@@ -536,7 +536,7 @@ func (b *builder) deriveCosts() {
 // (cluster, model, plan) configuration, under the cost model selected by
 // par.Model (nil selects the paper formulas). It is exported as the single
 // cost producer shared with the analytic lower-bound evaluator
-// (internal/analytic and the generators' Traits.StepLB hooks), which must
+// (internal/analytic and schedule.ReplayLB), which must
 // price plans with exactly the simulator's costs to stay admissible — a
 // guarantee that holds for every registered cost model, because both sides
 // call this one function. The formulas themselves live in internal/cost.

@@ -20,7 +20,7 @@
 //     packages' functions; context.Background() stays in cmd/, scripts/
 //     and tests.
 //   - globalstate: no new package-level mutable state in library packages
-//     (the SetDefaultWorkers hazard class).
+//     (the hazard class of a process-wide worker-count override).
 //
 // Deliberate exceptions are encoded in source as
 //

@@ -19,12 +19,11 @@
 // # Worker counts
 //
 // Callers pass an explicit worker count; 0 resolves to
-// runtime.GOMAXPROCS(0). The process-wide SetDefaultWorkers override is
-// deprecated: it is a compatibility shim for single-job command-line use
-// only, and concurrent callers (e.g. several server requests) would race
-// on it, each clobbering the others' budgets. New code should thread an
-// explicit worker count through its options (search.Options.Workers, the
-// service request Workers field) instead.
+// runtime.GOMAXPROCS(0). There is deliberately no process-wide override:
+// concurrent callers (e.g. several server requests) would race on it, each
+// clobbering the others' budgets. Worker counts are threaded through the
+// callers' options instead (search.Options.Workers, figures.Config.Workers,
+// tradeoff.Curve's workers argument, the service requests' Workers field).
 package parallel
 
 import (
@@ -36,36 +35,9 @@ import (
 	"bfpp/internal/fault"
 )
 
-// defaultWorkers holds the process-wide override; zero means "use
-// GOMAXPROCS at call time".
-var defaultWorkers atomic.Int64
-
 // DefaultWorkers returns the worker count used when a caller passes 0:
-// the SetDefaultWorkers override if set, else runtime.GOMAXPROCS(0).
-func DefaultWorkers() int {
-	if n := defaultWorkers.Load(); n > 0 {
-		return int(n)
-	}
-	return runtime.GOMAXPROCS(0)
-}
-
-// SetDefaultWorkers overrides the process-wide default worker count.
-// n <= 0 restores the GOMAXPROCS default.
-//
-// Deprecated: this is a process-global and therefore a hazard for any
-// program running more than one job at a time — concurrent requests would
-// race on the single override, silently steering each other's pools. It
-// remains only as a compatibility shim for the single-job CLI flags;
-// plumb an explicit Workers value through the call path instead
-// (search.Options.Workers, figures.Config.Workers, tradeoff.Curve's
-// workers argument, the service requests' Workers field).
-func SetDefaultWorkers(n int) {
-	if n < 0 {
-		n = 0
-	}
-	//lint:allow globalstate deprecated compat shim documented above; new code threads explicit Workers values
-	defaultWorkers.Store(int64(n))
-}
+// runtime.GOMAXPROCS(0).
+func DefaultWorkers() int { return runtime.GOMAXPROCS(0) }
 
 // Resolve maps a caller-supplied worker count to an effective one:
 // n > 0 is used as-is, anything else resolves to DefaultWorkers().

@@ -147,22 +147,13 @@ func TestForEach(t *testing.T) {
 }
 
 func TestResolveAndDefault(t *testing.T) {
-	defer SetDefaultWorkers(0)
 	if got := Resolve(5); got != 5 {
 		t.Errorf("Resolve(5) = %d", got)
 	}
 	if got := Resolve(0); got != runtime.GOMAXPROCS(0) {
 		t.Errorf("Resolve(0) = %d, want GOMAXPROCS %d", got, runtime.GOMAXPROCS(0))
 	}
-	SetDefaultWorkers(3)
-	if got := Resolve(0); got != 3 {
-		t.Errorf("Resolve(0) with default 3 = %d", got)
-	}
-	if got := Resolve(-1); got != 3 {
-		t.Errorf("Resolve(-1) with default 3 = %d", got)
-	}
-	SetDefaultWorkers(0)
-	if got := DefaultWorkers(); got != runtime.GOMAXPROCS(0) {
-		t.Errorf("DefaultWorkers after reset = %d", got)
+	if got := Resolve(-1); got != runtime.GOMAXPROCS(0) {
+		t.Errorf("Resolve(-1) = %d, want GOMAXPROCS %d", got, runtime.GOMAXPROCS(0))
 	}
 }

@@ -61,21 +61,32 @@ func (b *progBuilder) finish() Program {
 	return b.prog
 }
 
-// perDevice runs build once per pipeline rank and assembles the schedule;
-// each invocation gets a fresh builder and finish() is applied for it.
-func perDevice(p core.Plan, build func(b *progBuilder, rank int)) *Schedule {
-	devs := make([]Program, p.PP)
-	for r := 0; r < p.PP; r++ {
-		b := progBuilder{p: p}
-		build(&b, r)
+// numDevices is the number of device programs of a plan: one per pipeline
+// rank for the pipelined methods, one for the no-pipeline methods.
+func numDevices(p core.Plan) int {
+	if p.Method.Pipelined() {
+		return p.PP
+	}
+	return 1
+}
+
+// emitFunc appends one rank's program, without the trailing optimizer
+// step, to the builder. It is the single encoding of a replayable
+// schedule: build turns it into the Schedule the engine simulates, and
+// the tier-2 replay (stepbound.go) prices the very same ops.
+type emitFunc func(b *progBuilder, rank int)
+
+// build runs emit once per device program and assembles the schedule;
+// each invocation starts an empty program and finish() is applied for it.
+// The one builder is shared across ranks because emit is an indirect call,
+// which makes the builder escape to the heap.
+func build(p core.Plan, emit emitFunc) *Schedule {
+	devs := make([]Program, numDevices(p))
+	b := &progBuilder{p: p}
+	for r := range devs {
+		b.prog = nil
+		emit(b, r)
 		devs[r] = b.finish()
 	}
 	return &Schedule{Plan: p, Devices: devs}
-}
-
-// singleDevice builds the one-device schedule of the no-pipeline methods.
-func singleDevice(p core.Plan, build func(b *progBuilder)) *Schedule {
-	b := progBuilder{p: p}
-	build(&b)
-	return &Schedule{Plan: p, Devices: []Program{b.finish()}}
 }

@@ -16,14 +16,15 @@ import (
 // weightStashGen is 1F1B with PipeDream-style weight stashing. Within one
 // synchronous training batch the data dependencies are exactly 1F1B's
 // (weight stashing relaxes weight-version dependencies, not activation
-// dependencies), so the compute program matches the 1F1B generator. What
-// stashing changes is the implementation profile: every in-flight
-// micro-batch pins the half-precision weight version it was forwarded
-// with (counted by the StashedWeights memory hook), and communication is
-// not coupled to a pipeline flush, so the implementation overlaps data-
-// and pipeline-parallel traffic with compute like the paper's runtime
-// (Overlap trait) instead of paying Megatron-LM's blocking stalls.
-type weightStashGen struct{}
+// dependencies), so it embeds the 1F1B generator and shares its program
+// (emit and Generate). What stashing changes is the implementation
+// profile: every in-flight micro-batch pins the half-precision weight
+// version it was forwarded with (counted by the StashedWeights memory
+// hook), and communication is not coupled to a pipeline flush, so the
+// implementation overlaps data- and pipeline-parallel traffic with compute
+// like the paper's runtime (Overlap trait) instead of paying Megatron-LM's
+// blocking stalls.
+type weightStashGen struct{ oneFOneBGen }
 
 func (weightStashGen) Method() core.Method { return core.WeightStash1F1B }
 
@@ -36,19 +37,7 @@ func (weightStashGen) Traits() Traits {
 		// One stashed copy per in-flight micro-batch beyond the current
 		// weights.
 		StashedWeights: func(p core.Plan) int { return oneFOneBPairs(p) - 1 },
-		// The compute program is 1F1B's, so the multi-stream replay prices
-		// it exactly — overlapped communication included.
-		StepLB: func(p core.Plan, c StepCosts) (float64, bool) {
-			return exactOrFloor(p, c, oneFOneBOps, nil)
-		},
 	}
-}
-
-func (weightStashGen) Generate(p core.Plan) (*Schedule, error) {
-	return perDevice(p, func(b *progBuilder, r int) {
-		emitOneFOneB(b, r, p.NumMicro)
-		b.bunchedReduces(r)
-	}), nil
 }
 
 // vCap returns the V-schedule's effective per-device in-flight cap in
@@ -118,7 +107,7 @@ func (vScheduleGen) Traits() Traits {
 		// whatever the cap.
 		InFlightFloor: func(p core.Plan) int { return p.Loops },
 		KeyExtra:      vCap,
-		// The greedy list-scheduled programs have no implicit op sequence
+		// The greedy list-scheduled programs have no fixed per-rank emitter
 		// to replay, so the method has no exact tier-2 bound; the
 		// vee-placement warmup/drain floor (with its cap-aware term) is the
 		// cheap tier-1 bound internal/analytic maximizes with the generic

@@ -7,9 +7,11 @@ import (
 )
 
 // This file holds the registered generators of the paper's seven methods,
-// each a small struct over the shared program builder. Their Traits carry
-// the family, overlap and memory-model metadata the search and memsim
-// layers used to hard-code per method.
+// each a small struct over the shared program builder. Each one writes its
+// per-rank op order exactly once, in its emit method, which both Generate
+// and the tier-2 replay bound consume. Their Traits carry the family,
+// overlap and memory-model metadata the search and memsim layers used to
+// hard-code per method.
 
 // allPairs is the in-flight hook of the forward-first schedules that hold
 // every micro-batch of every local stage (GPipe, breadth-first and the
@@ -46,24 +48,26 @@ func (gpipeGen) Traits() Traits {
 		Overlap:   true,
 		Shardings: []core.Sharding{core.DP0, core.DPPS},
 		InFlight:  allPairs,
-		StepLB: func(p core.Plan, c StepCosts) (float64, bool) {
-			return exactOrFloor(p, c, gpipeOps, forwardFirstFloor)
-		},
-		StepFloor:    forwardFirstFloor,
-		StepLBCached: gpipeCachedLB,
+		StepFloor: forwardFirstFloor,
 	}
 }
 
-func (gpipeGen) Generate(p core.Plan) (*Schedule, error) {
-	return perDevice(p, func(b *progBuilder, r int) {
-		for mb := 0; mb < p.NumMicro; mb++ {
-			b.forward(r, mb)
-		}
-		for mb := 0; mb < p.NumMicro; mb++ {
-			b.backward(r, mb)
-		}
-		b.bunchedReduces(r)
-	}), nil
+func (g gpipeGen) Generate(p core.Plan) (*Schedule, error) { return build(p, g.emit), nil }
+
+func (g gpipeGen) emit(b *progBuilder, r int) {
+	g.compute(b, r)
+	b.bunchedReduces(r)
+}
+
+// compute emits GPipe's sharding-independent compute program, the prefix
+// its replay checkpoints (see replayCached).
+func (gpipeGen) compute(b *progBuilder, r int) {
+	for mb := 0; mb < b.p.NumMicro; mb++ {
+		b.forward(r, mb)
+	}
+	for mb := 0; mb < b.p.NumMicro; mb++ {
+		b.backward(r, mb)
+	}
 }
 
 // oneFOneBGen: warmup of PP-rank-1 forwards, then strict one-forward /
@@ -78,24 +82,18 @@ func (oneFOneBGen) Traits() Traits {
 		Shardings:        []core.Sharding{core.DP0},
 		InFlight:         oneFOneBPairs,
 		GradsOutsidePeak: true,
-		StepLB: func(p core.Plan, c StepCosts) (float64, bool) {
-			return exactOrFloor(p, c, oneFOneBOps, nil)
-		},
 	}
 }
 
-func (oneFOneBGen) Generate(p core.Plan) (*Schedule, error) {
-	return perDevice(p, func(b *progBuilder, r int) {
-		emitOneFOneB(b, r, p.NumMicro)
-		b.bunchedReduces(r)
-	}), nil
-}
+func (g oneFOneBGen) Generate(p core.Plan) (*Schedule, error) { return build(p, g.emit), nil }
 
-// emitOneFOneB emits the non-looped 1F1B compute program of one rank:
-// warmup forwards, strict alternation, backward drain. Shared with the
-// weight-stashing variant, whose batch data dependencies are identical.
-func emitOneFOneB(b *progBuilder, r, numMicro int) {
+// emit emits the non-looped 1F1B program of one rank: warmup forwards,
+// strict alternation, backward drain, then the bunched reduction. The
+// weight-stashing variant shares it: its batch data dependencies are
+// identical.
+func (oneFOneBGen) emit(b *progBuilder, r int) {
 	p := b.p
+	numMicro := p.NumMicro
 	warmup := p.PP - r - 1
 	if warmup > numMicro {
 		warmup = numMicro
@@ -110,6 +108,7 @@ func emitOneFOneB(b *progBuilder, r, numMicro int) {
 	for mb := numMicro - warmup; mb < numMicro; mb++ {
 		b.backward(r, mb)
 	}
+	b.bunchedReduces(r)
 }
 
 // Sequenced unit-step helpers, shared by the depth-first schedule (the
@@ -129,42 +128,42 @@ func seqStep(p core.Plan, q, k int, backward bool) (chunk, micro int) {
 	return chunk, micro
 }
 
-// genSequenced generates the depth-first family with micro-batch sequences
-// of length q; q = PP is plain depth-first, larger q is the hybrid, whose
-// extra in-flight micro-batches absorb transfer delays (Section 4.2).
-// Warmup is 2*(PP-rank-1) + (Loops-1)*q unit forward steps, then
-// alternating forward/backward unit steps, then a backward drain.
-func genSequenced(p core.Plan, q int) *Schedule {
+// emitSequenced emits one rank of the depth-first family with micro-batch
+// sequences of length q; q = PP is plain depth-first, larger q is the
+// hybrid, whose extra in-flight micro-batches absorb transfer delays
+// (Section 4.2). Warmup is 2*(PP-rank-1) + (Loops-1)*q unit forward steps,
+// then alternating forward/backward unit steps, then a backward drain and
+// the bunched reductions.
+func emitSequenced(b *progBuilder, r, q int) {
+	p := b.p
 	total := p.NumMicro * p.Loops
-	return perDevice(p, func(b *progBuilder, r int) {
-		warmup := 2*(p.PP-r-1) + (p.Loops-1)*q
-		if warmup > total {
-			warmup = total
-		}
-		emitF := func(k int) {
-			c, mb := seqStep(p, q, k, false)
-			b.forward(c*p.PP+r, mb)
-		}
-		emitB := func(k int) {
-			c, mb := seqStep(p, q, k, true)
-			b.backward(c*p.PP+r, mb)
-		}
-		for k := 0; k < warmup; k++ {
-			emitF(k)
-		}
-		for i := 0; i < total-warmup; i++ {
-			emitF(warmup + i)
-			emitB(i)
-		}
-		for k := total - warmup; k < total; k++ {
-			emitB(k)
-		}
-		b.bunchedReduces(r)
-	})
+	warmup := 2*(p.PP-r-1) + (p.Loops-1)*q
+	if warmup > total {
+		warmup = total
+	}
+	emitF := func(k int) {
+		c, mb := seqStep(p, q, k, false)
+		b.forward(c*p.PP+r, mb)
+	}
+	emitB := func(k int) {
+		c, mb := seqStep(p, q, k, true)
+		b.backward(c*p.PP+r, mb)
+	}
+	for k := 0; k < warmup; k++ {
+		emitF(k)
+	}
+	for i := 0; i < total-warmup; i++ {
+		emitF(warmup + i)
+		emitB(i)
+	}
+	for k := total - warmup; k < total; k++ {
+		emitB(k)
+	}
+	b.bunchedReduces(r)
 }
 
 // depthFirstGen follows the Megatron-LM interleaved 1F1B structure
-// (genSequenced with q = PP).
+// (emitSequenced with q = PP).
 type depthFirstGen struct{}
 
 func (depthFirstGen) Method() core.Method { return core.DepthFirst }
@@ -175,23 +174,20 @@ func (depthFirstGen) Traits() Traits {
 		Shardings:        []core.Sharding{core.DP0},
 		InFlight:         func(p core.Plan) int { return sequencedPairs(p, p.PP) },
 		GradsOutsidePeak: true,
-		StepLB: func(p core.Plan, c StepCosts) (float64, bool) {
-			return exactOrFloor(p, c, func(p core.Plan) (func(int) int, func(int, int) Op) {
-				return sequencedOps(p, p.PP)
-			}, nil)
-		},
 	}
 }
 
-func (depthFirstGen) Generate(p core.Plan) (*Schedule, error) {
+func (g depthFirstGen) Generate(p core.Plan) (*Schedule, error) {
 	if p.NumMicro%p.PP != 0 {
 		return nil, fmt.Errorf("schedule: depth-first needs NumMicro %% PP == 0")
 	}
-	return genSequenced(p, p.PP), nil
+	return build(p, g.emit), nil
 }
 
-// hybridGen is the Section 4.2 depth/breadth hybrid (genSequenced with the
-// plan's sequence length q >= PP).
+func (depthFirstGen) emit(b *progBuilder, r int) { emitSequenced(b, r, b.p.PP) }
+
+// hybridGen is the Section 4.2 depth/breadth hybrid (emitSequenced with
+// the plan's sequence length q >= PP).
 type hybridGen struct{}
 
 func (hybridGen) Method() core.Method { return core.Hybrid }
@@ -203,10 +199,6 @@ func (hybridGen) Traits() Traits {
 		Shardings: []core.Sharding{core.DP0},
 		InFlight:  func(p core.Plan) int { return sequencedPairs(p, p.SequenceLen()) },
 		KeyExtra:  core.Plan.SequenceLen,
-		StepLB: func(p core.Plan, c StepCosts) (float64, bool) {
-			return exactOrFloor(p, c, hybridSeq, nil)
-		},
-		StepLBCached: hybridCachedLB,
 		// Section 4.2: micro-batch sequence lengths between N_PP (plain
 		// depth-first ordering, Sequence zero) and N_mb (breadth-first-like).
 		SequenceOptions: func(p core.Plan) []int {
@@ -221,13 +213,15 @@ func (hybridGen) Traits() Traits {
 	}
 }
 
-func (hybridGen) Generate(p core.Plan) (*Schedule, error) {
+func (g hybridGen) Generate(p core.Plan) (*Schedule, error) {
 	q := p.SequenceLen()
 	if q%p.PP != 0 || p.NumMicro%q != 0 {
 		return nil, fmt.Errorf("schedule: hybrid needs Sequence %% PP == 0 and NumMicro %% Sequence == 0")
 	}
-	return genSequenced(p, q), nil
+	return build(p, g.emit), nil
 }
+
+func (hybridGen) emit(b *progBuilder, r int) { emitSequenced(b, r, b.p.SequenceLen()) }
 
 // breadthFirstGen is the paper's schedule (Figure 4d): forward-first, each
 // local stage processes the entire batch before the next stage starts, and
@@ -246,37 +240,35 @@ func (breadthFirstGen) Traits() Traits {
 		Shardings:           []core.Sharding{core.DP0, core.DPFS},
 		InFlight:            allPairs,
 		PerStageAggregation: true,
-		StepLB: func(p core.Plan, c StepCosts) (float64, bool) {
-			return exactOrFloor(p, c, bfOps, forwardFirstFloor)
-		},
-		StepFloor: forwardFirstFloor,
+		StepFloor:           forwardFirstFloor,
 	}
 }
 
-func (breadthFirstGen) Generate(p core.Plan) (*Schedule, error) {
-	return perDevice(p, func(b *progBuilder, r int) {
-		for l := 0; l < p.Loops; l++ {
-			s := l*p.PP + r
-			if b.fullySharded() {
-				b.restore(s, -1)
-			}
-			for mb := 0; mb < p.NumMicro; mb++ {
-				b.forward(s, mb)
-			}
+func (g breadthFirstGen) Generate(p core.Plan) (*Schedule, error) { return build(p, g.emit), nil }
+
+func (breadthFirstGen) emit(b *progBuilder, r int) {
+	p := b.p
+	for l := 0; l < p.Loops; l++ {
+		s := l*p.PP + r
+		if b.fullySharded() {
+			b.restore(s, -1)
 		}
-		for l := p.Loops - 1; l >= 0; l-- {
-			s := l*p.PP + r
-			if b.fullySharded() {
-				b.restore(s, -1)
-			}
-			for mb := 0; mb < p.NumMicro; mb++ {
-				b.backward(s, mb)
-			}
-			if b.needReduce() {
-				b.reduce(s, -1)
-			}
+		for mb := 0; mb < p.NumMicro; mb++ {
+			b.forward(s, mb)
 		}
-	}), nil
+	}
+	for l := p.Loops - 1; l >= 0; l-- {
+		s := l*p.PP + r
+		if b.fullySharded() {
+			b.restore(s, -1)
+		}
+		for mb := 0; mb < p.NumMicro; mb++ {
+			b.backward(s, mb)
+		}
+		if b.needReduce() {
+			b.reduce(s, -1)
+		}
+	}
 }
 
 // noPipelineDFGen is conventional gradient accumulation (Figure 9a/9b):
@@ -295,39 +287,36 @@ func (noPipelineDFGen) Traits() Traits {
 		Shardings: []core.Sharding{core.DP0, core.DPFS},
 		// One micro-batch resident in each stage's worth of checkpoints.
 		InFlight: func(p core.Plan) int { return p.Loops },
-		StepLB: func(p core.Plan, c StepCosts) (float64, bool) {
-			return exactOrFloor(p, c, noPipelineDFOps, nil)
-		},
 	}
 }
 
-func (noPipelineDFGen) Generate(p core.Plan) (*Schedule, error) {
-	stages := p.Loops // stage granularity on the single device
-	return singleDevice(p, func(b *progBuilder) {
-		fs := b.fullySharded()
-		for mb := 0; mb < p.NumMicro; mb++ {
-			for s := 0; s < stages; s++ {
-				if fs {
-					b.restore(s, mb)
-				}
-				b.forward(s, mb)
+func (g noPipelineDFGen) Generate(p core.Plan) (*Schedule, error) { return build(p, g.emit), nil }
+
+func (noPipelineDFGen) emit(b *progBuilder, _ int) {
+	stages := b.p.Loops // stage granularity on the single device
+	fs := b.fullySharded()
+	for mb := 0; mb < b.p.NumMicro; mb++ {
+		for s := 0; s < stages; s++ {
+			if fs {
+				b.restore(s, mb)
 			}
-			for s := stages - 1; s >= 0; s-- {
-				if fs {
-					b.restore(s, mb)
-				}
-				b.backward(s, mb)
-				if fs && b.needReduce() {
-					b.reduce(s, mb)
-				}
+			b.forward(s, mb)
+		}
+		for s := stages - 1; s >= 0; s-- {
+			if fs {
+				b.restore(s, mb)
+			}
+			b.backward(s, mb)
+			if fs && b.needReduce() {
+				b.reduce(s, mb)
 			}
 		}
-		if !fs && b.needReduce() {
-			for s := stages - 1; s >= 0; s-- {
-				b.reduce(s, -1)
-			}
+	}
+	if !fs && b.needReduce() {
+		for s := stages - 1; s >= 0; s-- {
+			b.reduce(s, -1)
 		}
-	}), nil
+	}
 }
 
 // noPipelineBFGen is the breadth-first gradient accumulation of Appendix C
@@ -345,34 +334,31 @@ func (noPipelineBFGen) Traits() Traits {
 		Shardings:           []core.Sharding{core.DP0, core.DPFS},
 		InFlight:            allPairs,
 		PerStageAggregation: true,
-		StepLB: func(p core.Plan, c StepCosts) (float64, bool) {
-			return exactOrFloor(p, c, noPipelineBFOps, nil)
-		},
 	}
 }
 
-func (noPipelineBFGen) Generate(p core.Plan) (*Schedule, error) {
-	stages := p.Loops
-	return singleDevice(p, func(b *progBuilder) {
-		fs := b.fullySharded()
-		for s := 0; s < stages; s++ {
-			if fs {
-				b.restore(s, -1)
-			}
-			for mb := 0; mb < p.NumMicro; mb++ {
-				b.forward(s, mb)
-			}
+func (g noPipelineBFGen) Generate(p core.Plan) (*Schedule, error) { return build(p, g.emit), nil }
+
+func (noPipelineBFGen) emit(b *progBuilder, _ int) {
+	stages, nm := b.p.Loops, b.p.NumMicro
+	fs := b.fullySharded()
+	for s := 0; s < stages; s++ {
+		if fs {
+			b.restore(s, -1)
 		}
-		for s := stages - 1; s >= 0; s-- {
-			if fs {
-				b.restore(s, -1)
-			}
-			for mb := 0; mb < p.NumMicro; mb++ {
-				b.backward(s, mb)
-			}
-			if b.needReduce() {
-				b.reduce(s, -1)
-			}
+		for mb := 0; mb < nm; mb++ {
+			b.forward(s, mb)
 		}
-	}), nil
+	}
+	for s := stages - 1; s >= 0; s-- {
+		if fs {
+			b.restore(s, -1)
+		}
+		for mb := 0; mb < nm; mb++ {
+			b.backward(s, mb)
+		}
+		if b.needReduce() {
+			b.reduce(s, -1)
+		}
+	}
 }

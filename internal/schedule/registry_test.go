@@ -24,7 +24,9 @@ func TestUnregisteredMethodError(t *testing.T) {
 }
 
 // TestRegistryCoversAllMethods asserts every registered core method has a
-// generator and coherent metadata.
+// generator and coherent metadata, and that every generator but the
+// list-scheduled V-schedule is Replayable (has an emitter, hence an exact
+// tier-2 bound).
 func TestRegistryCoversAllMethods(t *testing.T) {
 	for _, m := range core.Methods() {
 		g, ok := Lookup(m)
@@ -41,6 +43,9 @@ func TestRegistryCoversAllMethods(t *testing.T) {
 		}
 		if tr.Family != "" && tr.FamilyName == "" && firstOfFamily(m, tr.Family) {
 			t.Errorf("%v: first generator of family %q must set FamilyName", m, tr.Family)
+		}
+		if want := m != core.VSchedule; Replayable(m) != want {
+			t.Errorf("%v: Replayable = %v, want %v", m, Replayable(m), want)
 		}
 	}
 }

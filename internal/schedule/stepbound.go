@@ -19,12 +19,13 @@ import (
 // data-parallel restores/reductions ride a separate dp stream when
 // overlapped. Every task obeys the same recurrence the DES evaluates:
 // start = max(stream frontier, latest dependency finish), end = start +
-// duration. Replaying that recurrence over the generator's implicit op
-// sequence (a closure mapping (rank, k) to the k-th program op, never a
-// materialized Program) with one cursor per stream reproduces the DES
-// makespan bit for bit — for non-overlapped and overlapped plans alike —
-// which is what lets the search treat the bound as the exact simulated
-// time and skip the simulation entirely.
+// duration. Replaying that recurrence over the ops the generator's own
+// emitter writes (the same emit method Generate builds the Schedule from,
+// written into pooled scratch instead of a Program) with one cursor per
+// stream reproduces the DES makespan bit for bit — for non-overlapped and
+// overlapped plans alike — which is what lets the search treat the bound
+// as the exact simulated time and skip the simulation entirely. A
+// schedule's op order is therefore written exactly once.
 
 // StepCosts holds the engine's derived per-operation durations for one
 // (cluster, model, plan) configuration, in seconds. engine.DeriveCosts is
@@ -57,14 +58,14 @@ func NonOverlapped(p core.Plan) bool {
 	return !pp && !dp
 }
 
-// replayScratch pools the replay's working storage — the decoded op
+// replayScratch pools the replay's working storage — the emitted op
 // sequences, the per-(stage, micro) end-time tables and the per-device
 // cursor state — so pricing a candidate allocates nothing in the steady
 // state. The bound runs once per enumerated candidate on the sweep's hot
 // path (the very spot the PR 3 ROADMAP note predicted), which is why the
 // scratch is pooled like the engine's builder scratch.
 type replayScratch struct {
-	ops   []Op  // decoded per-rank sequences, concatenated
+	ops   []Op  // emitted per-rank sequences, concatenated
 	opOff []int // rank r's ops are ops[opOff[r]:opOff[r+1]]
 	owner []int
 
@@ -93,18 +94,21 @@ func growScratch[T any](buf *[]T, n int) []T {
 	return *buf
 }
 
-// initReplay decodes every rank's implicit sequence into sc and resets the
-// replay's cursor state, leaving sc ready for runReplay. It is split from
-// the execution so a prefix replay can be checkpointed (the decoded ops and
-// cursor state are the complete recurrence state) and resumed per
-// candidate.
-func initReplay(sc *replayScratch, p core.Plan, nOps func(rank int) int, opAt func(rank, k int) Op) {
+func btoi(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+// initReplay emits every rank's ops into sc and resets the replay's cursor
+// state, leaving sc ready for runReplay. It is split from the execution so
+// a prefix replay can be checkpointed (the emitted ops and cursor state are
+// the complete recurrence state) and resumed per candidate.
+func initReplay(sc *replayScratch, p core.Plan, emit emitFunc) {
 	nStages := p.NumStages()
 	nm := p.NumMicro
-	nDev := 1
-	if p.Method.Pipelined() {
-		nDev = p.PP
-	}
+	nDev := numDevices(p)
 	send := p.Method.Pipelined() && p.PP > 1
 	dpStream := p.OverlapDP && (p.DP > 1 || p.Sharding == core.DPFS)
 
@@ -115,20 +119,7 @@ func initReplay(sc *replayScratch, p core.Plan, nOps func(rank int) int, opAt fu
 		}
 	}
 
-	// Decode every rank's implicit sequence once; the three cursors
-	// index the decoded ops instead of re-evaluating the closure per stream.
-	opOff := growScratch(&sc.opOff, nDev+1)
-	opOff[0] = 0
-	for r := 0; r < nDev; r++ {
-		opOff[r+1] = opOff[r] + nOps(r)
-	}
-	ops := growScratch(&sc.ops, opOff[nDev])
-	for r := 0; r < nDev; r++ {
-		base := opOff[r]
-		for k := 0; k < opOff[r+1]-base; k++ {
-			ops[base+k] = opAt(r, k)
-		}
-	}
+	emitOps(sc, p, emit)
 
 	nk := nStages * nm
 	// Compute-op and inbound-transfer finish times per (stage, micro);
@@ -189,22 +180,33 @@ func initReplay(sc *replayScratch, p core.Plan, nOps func(rank int) int, opAt fu
 	}
 }
 
+// emitOps writes every rank's program once, straight into sc's pooled op
+// buffer; the three cursors share the emitted ops.
+func emitOps(sc *replayScratch, p core.Plan, emit emitFunc) {
+	nDev := numDevices(p)
+	opOff := growScratch(&sc.opOff, nDev+1)
+	b := progBuilder{p: p, prog: sc.ops[:0]}
+	for r := 0; r < nDev; r++ {
+		opOff[r] = len(b.prog)
+		emit(&b, r)
+	}
+	opOff[nDev] = len(b.prog)
+	sc.ops = b.prog
+}
+
 // runReplay advances the replay state in sc as far as the dataflow allows:
 // the three per-device stream cursors execute their ops under the same
 // recurrence the DES evaluates (start = max(stream frontier, latest
 // dependency finish)), which is a pure dataflow fixpoint — the final
 // frontiers are independent of drain order, so a run split across a
 // checkpoint is bit-identical to an uninterrupted one. With withOpt false
-// the trailing optimizer step is withheld (prefix runs stop at the decoded
+// the trailing optimizer step is withheld (prefix runs stop at the emitted
 // ops; the resumed run issues it). It returns false if the sequences
 // deadlock before completing.
 func runReplay(sc *replayScratch, p core.Plan, c StepCosts, withOpt bool) bool {
 	nStages := p.NumStages()
 	nm := p.NumMicro
-	nDev := 1
-	if p.Method.Pipelined() {
-		nDev = p.PP
-	}
+	nDev := numDevices(p)
 	send := p.Method.Pipelined() && p.PP > 1
 	// Stream layout, exactly as the engine's builder decides it.
 	ppStream := p.OverlapPP && send
@@ -473,12 +475,8 @@ func runReplay(sc *replayScratch, p core.Plan, c StepCosts, withOpt bool) bool {
 // across every stream — a trailing transfer or restore can outlive the
 // optimizer step.
 func replayMakespan(sc *replayScratch, p core.Plan) float64 {
-	nDev := 1
-	if p.Method.Pipelined() {
-		nDev = p.PP
-	}
 	var makespan float64
-	for r := 0; r < nDev; r++ {
+	for r := 0; r < numDevices(p); r++ {
 		if sc.tComp[r] > makespan {
 			makespan = sc.tComp[r]
 		}
@@ -492,22 +490,20 @@ func replayMakespan(sc *replayScratch, p core.Plan) float64 {
 	return makespan
 }
 
-// replay evaluates the exact DES makespan of a plan whose per-rank compute
-// programs are given implicitly: nOps(r) is rank r's op count and opAt(r, k)
-// its k-th op (Forward, Backward, Restore or Reduce; the trailing Optimize
-// is implicit). It models the engine's three per-device streams — compute,
-// pipeline transfer and data-parallel — with one cursor each over the same
-// op sequence: a cursor executes the ops that ride its stream and keeps
-// static creation-order bookkeeping for the ones that don't, mirroring how
-// the engine's builder fixes dependencies at task-creation time. Each
-// sequence is decoded once into pooled scratch (the cursors then share the
-// decoded ops instead of re-evaluating the closure per stream); no
-// Program, Schedule or simulator state is ever built. It returns
-// (0, false) if the sequences deadlock (a malformed closure).
-func replay(p core.Plan, c StepCosts, nOps func(rank int) int, opAt func(rank, k int) Op) (float64, bool) {
+// replay evaluates the exact DES makespan of a plan from its generator's
+// emitter, which writes each rank's Forward, Backward, Restore and Reduce
+// ops (the trailing Optimize is implicit). It models the engine's three
+// per-device streams — compute, pipeline transfer and data-parallel — with
+// one cursor each over the same op sequence: a cursor executes the ops that
+// ride its stream and keeps static creation-order bookkeeping for the ones
+// that don't, mirroring how the engine's builder fixes dependencies at
+// task-creation time. The ops are emitted once into pooled scratch; no
+// Schedule or simulator state is ever built. It returns (0, false) if the
+// sequences deadlock (a malformed emitter).
+func replay(p core.Plan, c StepCosts, emit emitFunc) (float64, bool) {
 	sc := replayScratchPool.Get().(*replayScratch)
 	defer replayScratchPool.Put(sc)
-	initReplay(sc, p, nOps, opAt)
+	initReplay(sc, p, emit)
 	if !runReplay(sc, p, c, true) {
 		return 0, false
 	}
@@ -516,9 +512,9 @@ func replay(p core.Plan, c StepCosts, nOps func(rank int) int, opAt func(rank, k
 
 // --- Prefix-amortized replay: checkpoint, resume and the shared cache. ---
 
-// replayCheckpoint freezes a partially-run replay — the decoded shared
-// prefix plus the cursor/frontier state left by a withOpt=false runReplay —
-// so candidates at one grid point that share the prefix resume from it
+// replayCheckpoint freezes a partially-run replay — the cursor/frontier
+// state a withOpt=false runReplay leaves after the shared prefix — so
+// candidates at one grid point that share the prefix resume from it
 // instead of re-running the whole sequence. The scratch inside is owned by
 // the checkpoint (never pooled) and is immutable after build; resume
 // deep-copies it out into pooled scratch.
@@ -527,23 +523,24 @@ type replayCheckpoint struct {
 	ok bool
 }
 
-// checkpointReplay prices a shared prefix once: it decodes the implicit
-// sequence into a fresh checkpoint-owned scratch and drains it fully with
-// the trailing optimizer withheld. A deadlocking prefix yields ok=false and
-// callers fall back to the uncached replay.
-func checkpointReplay(p core.Plan, c StepCosts, nOps func(rank int) int, opAt func(rank, k int) Op) *replayCheckpoint {
-	ck := &replayCheckpoint{}
-	initReplay(&ck.sc, p, nOps, opAt)
-	ck.ok = runReplay(&ck.sc, p, c, false)
+// checkpointReplay prices a shared prefix once: it emits the prefix into
+// pooled scratch, drains it fully with the trailing optimizer withheld and
+// copies the resulting state into the checkpoint. A deadlocking prefix
+// yields ok=false, which resumeReplay reports as a non-exact replay.
+func checkpointReplay(p core.Plan, c StepCosts, emit emitFunc) *replayCheckpoint {
+	sc := replayScratchPool.Get().(*replayScratch)
+	defer replayScratchPool.Put(sc)
+	initReplay(sc, p, emit)
+	ck := &replayCheckpoint{ok: runReplay(sc, p, c, false)}
+	copyScratch(&ck.sc, sc)
 	return ck
 }
 
-// copyScratch deep-copies every slice field of src into dst, reusing dst's
-// retained capacity. The inner slices of restoreEnd/consumers are copied
+// copyScratch deep-copies the recurrence state of src into dst, reusing
+// dst's retained capacity. The ops are not copied: a resumed replay
+// re-emits them. The inner slices of restoreEnd/consumers are copied
 // element-wise: resumed runs append to them.
 func copyScratch(dst, src *replayScratch) {
-	dst.ops = append(dst.ops[:0], src.ops...)
-	dst.opOff = append(dst.opOff[:0], src.opOff...)
 	dst.owner = append(dst.owner[:0], src.owner...)
 	dst.fwdEnd = append(dst.fwdEnd[:0], src.fwdEnd...)
 	dst.bwdEnd = append(dst.bwdEnd[:0], src.bwdEnd...)
@@ -579,49 +576,20 @@ func copyScratch(dst, src *replayScratch) {
 	}
 }
 
-// spliceTail appends per-rank tail ops to sc's decoded sequences, rebuilding
-// the concatenated layout. The stream cursors are rank-relative (offsets are
-// re-derived from opOff on every drain), so they stay valid across the
-// splice. growScratch does not preserve contents across a reallocation, so
-// the old layout is snapshotted first; the temporaries are amortized over
-// the whole resumed replay.
-func spliceTail(sc *replayScratch, nDev int, tailFor func(rank int) []Op) {
-	oldOps := append([]Op(nil), sc.ops...)
-	oldOff := append([]int(nil), sc.opOff...)
-	total := len(oldOps)
-	for r := 0; r < nDev; r++ {
-		total += len(tailFor(r))
-	}
-	ops := growScratch(&sc.ops, total)
-	opOff := sc.opOff // same backing: len(oldOff) == nDev+1 already
-	w := 0
-	for r := 0; r < nDev; r++ {
-		opOff[r] = w
-		w += copy(ops[w:], oldOps[oldOff[r]:oldOff[r+1]])
-		w += copy(ops[w:], tailFor(r))
-	}
-	opOff[nDev] = w
-}
-
 // resumeReplay completes a checkpointed prefix for one candidate: it copies
-// the frozen state into pooled scratch, splices the candidate's per-rank
-// tail ops (tailFor may be nil for an empty tail), and drains the remainder
-// with the trailing optimizer. The dataflow recurrence makes the result
-// bit-identical to an uninterrupted replay of prefix+tail.
-func resumeReplay(ck *replayCheckpoint, p core.Plan, c StepCosts, tailFor func(rank int) []Op) (float64, bool) {
-	if ck == nil || !ck.ok {
+// the frozen state into pooled scratch, emits the candidate's whole program
+// with emit and drains the remainder with the trailing optimizer. Every
+// rank's program must begin with the checkpointed prefix, so the
+// rank-relative stream cursors point at the first op past it. The dataflow
+// recurrence makes the result bit-identical to an uninterrupted replay.
+func resumeReplay(ck *replayCheckpoint, p core.Plan, c StepCosts, emit emitFunc) (float64, bool) {
+	if !ck.ok {
 		return 0, false
-	}
-	nDev := 1
-	if p.Method.Pipelined() {
-		nDev = p.PP
 	}
 	sc := replayScratchPool.Get().(*replayScratch)
 	defer replayScratchPool.Put(sc)
 	copyScratch(sc, &ck.sc)
-	if tailFor != nil {
-		spliceTail(sc, nDev, tailFor)
-	}
+	emitOps(sc, p, emit)
 	if !runReplay(sc, p, c, true) {
 		return 0, false
 	}
@@ -653,9 +621,8 @@ type replayCacheEntry struct {
 // ReplayCache shares prefix checkpoints between the candidates of one
 // search group. It is safe for concurrent use: each checkpoint is built
 // exactly once (sync.Once per entry) and is immutable afterwards. The
-// search creates one cache per evalGroups call and passes it to the
-// generators' StepLBCached hooks; a nil cache degrades every hook to its
-// uncached StepLB behavior.
+// search creates one cache per evalGroups call and passes it to ReplayLB;
+// a nil cache degrades every replay to the uncached one.
 type ReplayCache struct {
 	mu sync.Mutex
 	m  map[replayCacheKey]*replayCacheEntry
@@ -680,235 +647,55 @@ func (rc *ReplayCache) checkpoint(key replayCacheKey, build func() *replayCheckp
 	return e.ck
 }
 
-// --- Implicit program sequences, mirroring the generators op for op. ---
+// --- Tier-2 entry point and the cheap floors. ---
 
-func btoi(b bool) int {
-	if b {
-		return 1
-	}
-	return 0
+// emitter is implemented by every generator whose program is a fixed
+// per-rank op order (all but the list-scheduled V-schedule). emit appends
+// one rank's ops without the trailing optimizer; Generate builds the
+// Schedule from it and ReplayLB prices it.
+type emitter interface {
+	emit(b *progBuilder, rank int)
 }
 
-// bfOps is the breadth-first program of rank r: per forward loop an
-// optional DP-FS restore then all micro-batches, then the backward loops in
-// reverse, each with an optional restore, the micro-batches and the
-// per-stage reduction.
-func bfOps(p core.Plan) (func(int) int, func(int, int) Op) {
-	nm, loops := p.NumMicro, p.Loops
-	fs := p.Sharding == core.DPFS
-	red := p.DP > 1
-	fwdBlock := nm + btoi(fs)
-	bwdBlock := nm + btoi(fs) + btoi(red)
-	n := func(int) int { return loops * (fwdBlock + bwdBlock) }
-	at := func(r, k int) Op {
-		if k < loops*fwdBlock {
-			l, w := k/fwdBlock, k%fwdBlock
-			s := l*p.PP + r
-			if fs {
-				if w == 0 {
-					return Op{Restore, s, -1}
-				}
-				w--
-			}
-			return Op{Forward, s, w}
-		}
-		k -= loops * fwdBlock
-		l, w := loops-1-k/bwdBlock, k%bwdBlock
-		s := l*p.PP + r
-		if fs {
-			if w == 0 {
-				return Op{Restore, s, -1}
-			}
-			w--
-		}
-		if w < nm {
-			return Op{Backward, s, w}
-		}
-		return Op{Reduce, s, -1}
-	}
-	return n, at
+// prefixReplayer is implemented by the generators whose candidates at one
+// grid point share a replay prefix that a ReplayCache can checkpoint.
+// replayCached must return exactly what the uncached replay returns.
+type prefixReplayer interface {
+	replayCached(p core.Plan, c StepCosts, rc *ReplayCache) (float64, bool)
 }
 
-// sequencedOps is the genSequenced program (depth-first for q = PP, hybrid
-// otherwise) of rank r: warmup forward unit steps, forward/backward
-// alternation, backward drain, then the bunched per-stage reductions in
-// reverse stage order.
-func sequencedOps(p core.Plan, q int) (func(int) int, func(int, int) Op) {
-	total := p.NumMicro * p.Loops
-	red := btoi(p.DP > 1) * p.Loops
-	warmupOf := func(r int) int {
-		w := 2*(p.PP-r-1) + (p.Loops-1)*q
-		if w > total {
-			w = total
-		}
-		return w
+// Replayable reports whether the method's generator has an emitter, that
+// is, whether ReplayLB can price its plans exactly.
+func Replayable(m core.Method) bool {
+	g, ok := Lookup(m)
+	if !ok {
+		return false
 	}
-	n := func(int) int { return 2*total + red }
-	at := func(r, k int) Op {
-		if k >= 2*total { // bunched reduces, reverse stage order
-			j := k - 2*total
-			l := p.Loops - 1 - j
-			return Op{Reduce, l*p.PP + r, -1}
-		}
-		w := warmupOf(r)
-		var backward bool
-		var step int
-		switch {
-		case k < w:
-			step = k
-		case k < w+2*(total-w):
-			i := k - w
-			if i%2 == 0 {
-				step = w + i/2
-			} else {
-				backward, step = true, i/2
-			}
-		default:
-			backward, step = true, k-total
-		}
-		c, mb := seqStep(p, q, step, backward)
-		if backward {
-			return Op{Backward, c*p.PP + r, mb}
-		}
-		return Op{Forward, c*p.PP + r, mb}
-	}
-	return n, at
+	_, ok = g.(emitter)
+	return ok
 }
 
-// oneFOneBOps is the non-looped 1F1B program of rank r (emitOneFOneB
-// followed by the single bunched reduction). The weight-stashing WS-1F1B
-// schedule shares it: stashing relaxes weight-version dependencies, not
-// the batch's activation dependencies, so its program is identical.
-func oneFOneBOps(p core.Plan) (func(int) int, func(int, int) Op) {
-	nm := p.NumMicro
-	red := btoi(p.DP > 1)
-	n := func(int) int { return 2*nm + red }
-	at := func(r, k int) Op {
-		if k >= 2*nm {
-			return Op{Reduce, r, -1}
-		}
-		w := p.PP - r - 1
-		if w > nm {
-			w = nm
-		}
-		switch {
-		case k < w:
-			return Op{Forward, r, k}
-		case k < w+2*(nm-w):
-			i := k - w
-			if i%2 == 0 {
-				return Op{Forward, r, w + i/2}
-			}
-			return Op{Backward, r, i / 2}
-		default:
-			return Op{Backward, r, k - nm}
-		}
+// ReplayLB is the tier-2 bound: the exact DES makespan of the plan under
+// the given per-operation costs, obtained by replaying the ops its
+// generator emits on the engine's multi-stream model. exact is false when
+// the method is not Replayable (or its sequences deadlock); the caller
+// then falls back to its floor. rc shares replay prefixes between the
+// candidates of one search group; nil means uncached, and the result is
+// identical either way.
+func ReplayLB(p core.Plan, c StepCosts, rc *ReplayCache) (lb float64, exact bool) {
+	g, ok := Lookup(p.Method)
+	if !ok {
+		return 0, false
 	}
-	return n, at
+	if pr, ok := g.(prefixReplayer); ok && rc != nil {
+		return pr.replayCached(p, c, rc)
+	}
+	e, ok := g.(emitter)
+	if !ok {
+		return 0, false
+	}
+	return replay(p, c, e.emit)
 }
-
-// gpipeOps is the GPipe program of rank r: all forwards, all backwards,
-// one bunched reduction.
-func gpipeOps(p core.Plan) (func(int) int, func(int, int) Op) {
-	nm := p.NumMicro
-	red := btoi(p.DP > 1)
-	n := func(int) int { return 2*nm + red }
-	at := func(r, k int) Op {
-		switch {
-		case k < nm:
-			return Op{Forward, r, k}
-		case k < 2*nm:
-			return Op{Backward, r, k - nm}
-		default:
-			return Op{Reduce, r, -1}
-		}
-	}
-	return n, at
-}
-
-// noPipelineBFOps is the Appendix C breadth-first accumulation on the
-// single device: per stage an optional restore then all micro-batches
-// forward; the reverse for the backward pass with per-stage reductions.
-func noPipelineBFOps(p core.Plan) (func(int) int, func(int, int) Op) {
-	nm, stages := p.NumMicro, p.Loops
-	fs := p.Sharding == core.DPFS
-	red := p.DP > 1
-	fwdBlock := nm + btoi(fs)
-	bwdBlock := nm + btoi(fs) + btoi(red)
-	n := func(int) int { return stages * (fwdBlock + bwdBlock) }
-	at := func(_, k int) Op {
-		if k < stages*fwdBlock {
-			s, w := k/fwdBlock, k%fwdBlock
-			if fs {
-				if w == 0 {
-					return Op{Restore, s, -1}
-				}
-				w--
-			}
-			return Op{Forward, s, w}
-		}
-		k -= stages * fwdBlock
-		s, w := stages-1-k/bwdBlock, k%bwdBlock
-		if fs {
-			if w == 0 {
-				return Op{Restore, s, -1}
-			}
-			w--
-		}
-		if w < nm {
-			return Op{Backward, s, w}
-		}
-		return Op{Reduce, s, -1}
-	}
-	return n, at
-}
-
-// noPipelineDFOps is conventional gradient accumulation on the single
-// device: each micro-batch runs its full forward and backward (with
-// per-micro-batch restores and reductions under DP-FS), then the bunched
-// per-stage reductions when not fully sharded.
-func noPipelineDFOps(p core.Plan) (func(int) int, func(int, int) Op) {
-	nm, stages := p.NumMicro, p.Loops
-	fs := p.Sharding == core.DPFS
-	red := p.DP > 1
-	fwdBlock := 1 + btoi(fs)                   // per stage per micro
-	bwdBlock := 1 + btoi(fs) + btoi(fs && red) // per stage per micro
-	perMicro := stages * (fwdBlock + bwdBlock)
-	tail := 0
-	if !fs && red {
-		tail = stages
-	}
-	n := func(int) int { return nm*perMicro + tail }
-	at := func(_, k int) Op {
-		if k >= nm*perMicro { // trailing bunched reduces, reverse order
-			return Op{Reduce, stages - 1 - (k - nm*perMicro), -1}
-		}
-		mb, w := k/perMicro, k%perMicro
-		if w < stages*fwdBlock {
-			s, i := w/fwdBlock, w%fwdBlock
-			if fs && i == 0 {
-				return Op{Restore, s, mb}
-			}
-			return Op{Forward, s, mb}
-		}
-		w -= stages * fwdBlock
-		s, i := stages-1-w/bwdBlock, w%bwdBlock
-		if fs {
-			switch i {
-			case 0:
-				return Op{Restore, s, mb}
-			case 1:
-				return Op{Backward, s, mb}
-			default:
-				return Op{Reduce, s, mb}
-			}
-		}
-		return Op{Backward, s, mb}
-	}
-	return n, at
-}
-
-// --- StepLB hooks. ---
 
 // forwardFirstFloor is the admissible lower bound of the overlapped
 // forward-first wrap schedules (breadth-first, GPipe): the warm-up chain to
@@ -916,8 +703,8 @@ func noPipelineDFOps(p core.Plan) (func(int) int, func(int, int) Op) {
 // forward before any backward), the backward drain chain back to device 0,
 // the exposed tail reduction and the optimizer step. Plain arithmetic can
 // round above the simulator's chained additions by a few ulps, so callers
-// shave the result with BoundSlack. Since the multi-stream replay it is a
-// deadlock-only safety net, never the primary bound.
+// shave the result with BoundSlack. It is the generators' tier-1 StepFloor;
+// the exact replay supersedes it whenever a candidate reaches tier 2.
 func forwardFirstFloor(p core.Plan, c StepCosts) float64 {
 	nm, loops := float64(p.NumMicro), float64(p.Loops)
 	compute := nm * loops * (c.Fwd + c.Bwd)
@@ -940,7 +727,7 @@ func forwardFirstFloor(p core.Plan, c StepCosts) float64 {
 
 // vScheduleFloor is the list-schedule-aware warmup/drain floor of the
 // vee-placed V-schedule, whose greedy list-scheduled programs have no
-// implicit op sequence to replay. It exploits two structural facts the
+// fixed per-rank emitter to replay. It exploits two structural facts the
 // generic placement floor cannot see: (a) no backward anywhere may start
 // before some micro-batch's complete forward chain has reached the last
 // stage, after which the device hosting that stage — which, in the vee
@@ -1019,100 +806,47 @@ func BoundSlack(v float64, n int) float64 {
 	return v * (1 - float64(n+16)*1e-15)
 }
 
-// exactOrFloor wraps an implicit program in the shared StepLB shape: the
-// exact multi-stream replay (which covers overlapped and non-overlapped
-// implementations alike), with a fallback floor against malformed
-// sequences.
-func exactOrFloor(p core.Plan, c StepCosts,
-	seq func(core.Plan) (func(int) int, func(int, int) Op),
-	floor func(core.Plan, StepCosts) float64) (float64, bool) {
-	n, at := seq(p)
-	if v, ok := replay(p, c, n, at); ok {
-		return v, true
-	}
-	if floor != nil {
-		return floor(p, c), false
-	}
-	return 0, false
-}
-
-// gpipeCachedLB is gpipeOps' StepLBCached hook. GPipe candidates at one
+// replayCached is GPipe's prefix-amortized replay. GPipe candidates at one
 // grid point differing only in sharding (DP0 vs DP-PS; DP-FS is excluded)
-// share their entire compute sequence — the 2*N_mb forwards-then-backwards
-// ops — and differ only in the tail reduction's cost, so the hook
-// checkpoints the compute prefix once per grid point and resumes it with
-// the per-candidate reduce tail. The cache key normalizes the sharding
-// away and zeroes the tail-only costs (Reduce/Restore/Opt), which the
-// prefix never charges; the stream layout is sharding-independent here
-// (the dp stream exists iff OverlapDP and DP > 1, and gpipe has no
-// restores), so the frozen frontiers are bit-identical to an uninterrupted
-// replay's state at the same point.
-func gpipeCachedLB(p core.Plan, c StepCosts, rc *ReplayCache) (float64, bool) {
-	if rc == nil {
-		return exactOrFloor(p, c, gpipeOps, forwardFirstFloor)
-	}
+// share their entire compute program and differ only in the tail
+// reduction's cost, so the compute emitter is checkpointed once per grid
+// point and each candidate resumes at its bunched reductions. The cache
+// key normalizes the sharding away and zeroes the tail-only costs
+// (Reduce/Restore/Opt), which the prefix never charges; the stream layout
+// is sharding-independent here (the dp stream exists iff OverlapDP and
+// DP > 1, and gpipe has no restores), so the frozen frontiers are
+// bit-identical to an uninterrupted replay's state at the same point.
+func (g gpipeGen) replayCached(p core.Plan, c StepCosts, rc *ReplayCache) (float64, bool) {
 	kp := p
 	kp.Sharding = core.DP0
 	kc := c
 	kc.Reduce, kc.Restore, kc.Opt = 0, 0, 0
-	nm := p.NumMicro
-	nDev := 1
-	if p.Method.Pipelined() {
-		nDev = p.PP
-	}
 	ck := rc.checkpoint(replayCacheKey{prefixClassGpipe, kp, kc}, func() *replayCheckpoint {
-		return checkpointReplay(kp, kc,
-			func(int) int { return 2 * nm },
-			func(r, k int) Op {
-				if k < nm {
-					return Op{Forward, r, k}
-				}
-				return Op{Backward, r, k - nm}
-			})
+		return checkpointReplay(kp, kc, g.compute)
 	})
-	var tailFor func(int) []Op
-	if p.DP > 1 {
-		tails := make([]Op, nDev)
-		for r := range tails {
-			tails[r] = Op{Reduce, r, -1}
-		}
-		tailFor = func(r int) []Op { return tails[r : r+1] }
-	}
-	if v, ok := resumeReplay(ck, p, c, tailFor); ok {
-		return v, true
-	}
-	return forwardFirstFloor(p, c), false
+	return resumeReplay(ck, p, c, g.emit)
 }
 
-// hybridSeq wraps sequencedOps in the exactOrFloor sequence shape with the
-// plan's own sequence length.
-func hybridSeq(p core.Plan) (func(int) int, func(int, int) Op) {
-	return sequencedOps(p, p.SequenceLen())
-}
-
-// hybridCachedLB is the hybrid schedule's StepLBCached hook. At Loops == 1
-// the sequenced program is invariant in the sequence length q: the warmup
-// 2*(PP-r-1) + (Loops-1)*q loses its q term, every unit step degenerates
-// to (chunk 0, micro k), and the single bunched reduce is q-independent —
-// so the grid point's whole candidate set (one plan per SequenceOption)
-// shares one full-sequence checkpoint, resumed per candidate with only the
-// trailing optimizer left to issue. The key normalizes Sequence away and
-// zeroes the optimizer cost (the only op the prefix withholds). Looped
-// plans genuinely differ per q and fall back to the uncached replay.
-func hybridCachedLB(p core.Plan, c StepCosts, rc *ReplayCache) (float64, bool) {
-	if rc == nil || p.Loops != 1 {
-		return exactOrFloor(p, c, hybridSeq, nil)
+// replayCached is the hybrid schedule's prefix-amortized replay. At
+// Loops == 1 the sequenced program is invariant in the sequence length q:
+// the warmup 2*(PP-r-1) + (Loops-1)*q loses its q term, every unit step
+// degenerates to (chunk 0, micro k), and the single bunched reduce is
+// q-independent — so the grid point's whole candidate set (one plan per
+// SequenceOption) shares one full-program checkpoint, resumed per
+// candidate with only the trailing optimizer left to issue. The key
+// normalizes Sequence away and zeroes the optimizer cost (the only op the
+// prefix withholds). Looped plans genuinely differ per q and take the
+// uncached replay.
+func (g hybridGen) replayCached(p core.Plan, c StepCosts, rc *ReplayCache) (float64, bool) {
+	if p.Loops != 1 {
+		return replay(p, c, g.emit)
 	}
 	kp := p
 	kp.Sequence = 0
 	kc := c
 	kc.Opt = 0
 	ck := rc.checkpoint(replayCacheKey{prefixClassHybridSeq, kp, kc}, func() *replayCheckpoint {
-		n, at := sequencedOps(kp, kp.SequenceLen())
-		return checkpointReplay(kp, kc, n, at)
+		return checkpointReplay(kp, kc, g.emit)
 	})
-	if v, ok := resumeReplay(ck, p, c, nil); ok {
-		return v, true
-	}
-	return exactOrFloor(p, c, hybridSeq, nil)
+	return resumeReplay(ck, p, c, g.emit)
 }

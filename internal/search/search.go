@@ -33,14 +33,15 @@
 // real bound instead of pricing against nothing. Jobs are ordered
 // cheapest-bound-first, and a candidate reaches tier 2 — the O(ops) exact
 // multi-stream schedule replay (analytic.LowerBoundCached, bit-identical
-// to the DES makespan for every generator with an implicit op sequence;
-// prefix-amortized across candidates sharing a checkpoint) — only when
-// its floor fails to prune against the incumbent. Exact tier-2 prices
-// feed the incumbent immediately (the replay IS the simulated time), so
-// siblings prune before the simulation even runs. Options.EagerReplay
-// restores the replay-always pricing (every candidate priced exactly up
-// front, dominance pre-pass instead of warm starts) as an equivalence
-// and benchmarking point.
+// to the DES makespan for every schedule.Replayable method, replaying the
+// ops the generator's own emitter writes; prefix-amortized across
+// candidates sharing a checkpoint) — only when its floor fails to prune
+// against the incumbent. Exact tier-2 prices feed the incumbent
+// immediately (the replay IS the simulated time), so siblings prune before
+// the simulation even runs. Options.EagerReplay restores the
+// replay-always pricing (every candidate priced exactly up front,
+// dominance pre-pass instead of warm starts) as an equivalence and
+// benchmarking point.
 //
 // Pruning never changes results: a candidate is skipped only when the
 // admissible bound proves it cannot be the winner under the same strict
@@ -421,9 +422,8 @@ type Options struct {
 	MaxMicroBatch int
 	// Workers bounds the pool of goroutines simulating candidate plans
 	// (one flat pool even across a Sweep's batches): 0 resolves to
-	// parallel.DefaultWorkers() (GOMAXPROCS, or the -workers override of
-	// the commands), 1 forces the serial path. Any worker count produces
-	// byte-identical results.
+	// parallel.DefaultWorkers() (GOMAXPROCS), 1 forces the serial path.
+	// Any worker count produces byte-identical results.
 	Workers int
 	// NoPrune disables the analytic branch-and-bound (lower-bound job
 	// ordering, incumbent skipping, dominance pre-pass) and simulates
@@ -551,7 +551,7 @@ type job struct {
 	ub       float64 // analytic throughput upper bound (FlopPerGPU / lower bound)
 	flop     float64 // BatchFlopPerGPU, shared by the cascade's two pricings
 	exact    bool    // the bound equals the simulated time bit for bit
-	replay   bool    // the method has a tier-2 exact replay (StepLB hook)
+	replay   bool    // the method has a tier-2 exact replay (schedule.Replayable)
 	prune    bool    // removed by the deterministic dominance pre-pass
 	failed   bool    // precheck reported the error a simulation would
 	deferred bool    // exactly priced, simulation deferred to the final pass
@@ -735,10 +735,9 @@ func evalGroups(ctx context.Context, c hw.Cluster, m model.Transformer, groups [
 			var lb float64
 			if cascade {
 				// Tier 1: the cheap floor. Whether an exact tier-2 price
-				// exists is a trait of the method, recorded for the
+				// exists depends only on the method, recorded for the
 				// execution pass.
-				tr := schedule.TraitsOf(j.plan.Method)
-				j.replay = tr.StepLB != nil || tr.StepLBCached != nil
+				j.replay = schedule.Replayable(j.plan.Method)
 				lb = analytic.Floor(c, m, j.plan, &par)
 			} else {
 				lb, j.exact = analytic.LowerBound(c, m, j.plan, &par)

@@ -20,8 +20,8 @@
 //
 // The search worker pool width is a per-request value clamped to
 // Config.MaxWorkersPerRequest, threaded explicitly through
-// search.Options.Workers — never through the deprecated process-global
-// parallel.SetDefaultWorkers, which concurrent requests would race on.
+// search.Options.Workers — never through process-global state, which
+// concurrent requests would race on.
 // Worker counts never change results, so they are excluded from the
 // result-cache key.
 package service
