@@ -16,12 +16,16 @@ vet:
 lint:
 	go run ./cmd/bfpp-lint ./...
 
+# race runs exactly ci.sh's race pass (same packages, same -run pattern).
 race:
 	go test -race -count=1 \
-		-run 'Parallel|Cache|Concurrent|Sweep|FastPath|RunMatches|Curve|CheapArtifacts|Ctx|Cancel|Progress|HTTP|Search' \
+		-run 'Parallel|Cache|Concurrent|Sweep|FastPath|RunMatches|Curve|CheapArtifacts|LowerBound|ExactBound|Lattice|PrunedErrors|PerFamily|Ctx|Cancel|Progress|HTTP|Search|Registry|Chaos|Fault|Supervisor|Recover|Shed|Partial|Retry|Seeded|Script|Sleep|Cascade|WarmStart|Checkpoint|Resume|Journal|Store|Corrupt|Dispatch|Replica|Sharder|Metrics|Stream|CostModel|Fit' \
 		./internal/parallel ./internal/search ./internal/schedule \
 		./internal/memsim ./internal/des ./internal/engine \
-		./internal/figures ./internal/tradeoff ./internal/service
+		./internal/figures ./internal/tradeoff \
+		./internal/analytic ./internal/runtime ./internal/fault \
+		./internal/service ./internal/model ./internal/hw \
+		./internal/store ./internal/dispatch ./internal/cost
 
 bench:
 	sh scripts/bench.sh

@@ -20,7 +20,6 @@ import (
 	"time"
 
 	"bfpp"
-	"bfpp/internal/alloc"
 	"bfpp/internal/batchsize"
 	"bfpp/internal/collective"
 	"bfpp/internal/core"
@@ -108,22 +107,6 @@ func BenchmarkExtensionHybrid(b *testing.B) {
 	b.ReportMetric(100*last, "util%/seq=64")
 }
 
-// BenchmarkExtensionAllocator runs the Appendix D.2 caching-allocator
-// workload with and without the paper's mitigations.
-func BenchmarkExtensionAllocator(b *testing.B) {
-	w := alloc.Workload{Capacity: 1 << 20, StateBytes: 1 << 19,
-		ActivationBytes: 1 << 16, MicroBatches: 8, Steps: 100,
-		PreallocateState: true, SyncEvery: 1}
-	var flushes int
-	for i := 0; i < b.N; i++ {
-		bad := w
-		bad.PreallocateState = false
-		bad.SyncEvery = 0
-		flushes = bad.Run().Flushes
-	}
-	b.ReportMetric(float64(flushes), "flushes/unmitigated")
-}
-
 // Core primitives.
 
 // BenchmarkScheduleGeneration measures building the breadth-first program
@@ -189,10 +172,35 @@ func benchOptimize(b *testing.B, opt search.Options) {
 	}
 }
 
+// serialSearch is the seed-faithful evaluator the perf harness divides by:
+// a serial loop over search.Enumerate that simulates every plan on the
+// reference DES loop with the memo caches bypassed. It returns the best
+// throughput, 0 when the batch has no feasible configuration.
+func serialSearch(b *testing.B, c hw.Cluster, m model.Transformer, f search.Family, batch int) float64 {
+	b.Helper()
+	best := 0.0
+	for _, p := range search.Enumerate(context.Background(), c, m, f, batch, search.Options{}) {
+		r, err := engine.SimulateOpts(c, m, p, engine.Options{DisableCache: true, ReferenceDES: true})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if r.Throughput > best {
+			best = r.Throughput
+		}
+	}
+	return best
+}
+
 // BenchmarkSearchOptimizeBaseline is the seed-faithful evaluator: serial,
 // no memo caches, reference DES loop.
 func BenchmarkSearchOptimizeBaseline(b *testing.B) {
-	benchOptimize(b, search.Options{Baseline: true})
+	c := hw.PaperCluster()
+	m := model.Model52B()
+	for i := 0; i < b.N; i++ {
+		if serialSearch(b, c, m, search.FamilyBreadthFirst, 64) == 0 {
+			b.Fatal("no feasible configuration")
+		}
+	}
 }
 
 // BenchmarkSearchOptimizeSerial is the optimized path pinned to 1 worker
@@ -208,6 +216,9 @@ func BenchmarkSearchOptimizeParallel(b *testing.B) {
 	benchOptimize(b, search.Options{})
 }
 
+// figure7Batches are the 52B paper batch sizes of Figure 7 / Table E.1.
+var figure7Batches = []int{8, 16, 32, 64, 128, 256, 512}
+
 // benchSweep runs the full Figure 7 / Table E.1 grid: every family at every
 // 52B paper batch size.
 func benchSweep(b *testing.B, opt search.Options) {
@@ -221,11 +232,10 @@ func benchSweepCtx(b *testing.B, ctx context.Context, opt search.Options) {
 	b.Helper()
 	c := hw.PaperCluster()
 	m := model.Model52B()
-	batches := []int{8, 16, 32, 64, 128, 256, 512}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, f := range search.Families() {
-			if _, err := search.Sweep(ctx, c, m, f, batches, opt); err != nil {
+			if _, err := search.Sweep(ctx, c, m, f, figure7Batches, opt); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -235,7 +245,15 @@ func benchSweepCtx(b *testing.B, ctx context.Context, opt search.Options) {
 // BenchmarkSweepFigure7Baseline measures the whole Figure-7 sweep with the
 // seed-faithful evaluator (the perf-harness speedup denominator).
 func BenchmarkSweepFigure7Baseline(b *testing.B) {
-	benchSweep(b, search.Options{Baseline: true})
+	c := hw.PaperCluster()
+	m := model.Model52B()
+	for i := 0; i < b.N; i++ {
+		for _, f := range search.Families() {
+			for _, batch := range figure7Batches {
+				serialSearch(b, c, m, f, batch)
+			}
+		}
+	}
 }
 
 // BenchmarkSweepFigure7Parallel measures the same sweep on the worker pool

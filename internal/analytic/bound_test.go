@@ -2,6 +2,7 @@ package analytic
 
 import (
 	"math/rand"
+	"sort"
 	"testing"
 
 	"bfpp/internal/core"
@@ -311,7 +312,8 @@ func TestVScheduleCappedFloorAdmissibleRandom(t *testing.T) {
 // TestMemoryFloorNeverExceedsEstimate is the memory-side admissibility
 // property: the cheap floor the enumeration pre-filter uses never exceeds
 // the full memsim estimate, so floor-filtered candidate sets are identical
-// to unfiltered ones.
+// to unfiltered ones. The filter itself is pinned at the boundary too: at
+// the smallest budget the full estimate fits in, MemoryFeasible accepts.
 func TestMemoryFloorNeverExceedsEstimate(t *testing.T) {
 	m := boundModel()
 	rng := rand.New(rand.NewSource(7))
@@ -326,9 +328,13 @@ func TestMemoryFloorNeverExceedsEstimate(t *testing.T) {
 			}
 			checked++
 			floor := MemoryFloor(m, p)
-			total := memsim.Estimate(m, p).Total()
-			if floor > total {
+			est := memsim.Estimate(m, p)
+			if total := est.Total(); floor > total {
 				t.Errorf("%v: memory floor %v exceeds estimate %v for %v", method, floor, total, p)
+			}
+			budget := int64(sort.Search(1<<50, func(b int) bool { return memsim.Feasible(est, int64(b)) }))
+			if !MemoryFeasible(m, p, budget) {
+				t.Errorf("%v: pre-filter rejects %v at budget %d, which the full estimate fits", method, p, budget)
 			}
 		}
 		if checked < 20 {

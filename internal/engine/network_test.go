@@ -6,7 +6,6 @@ import (
 	"bfpp/internal/core"
 	"bfpp/internal/hw"
 	"bfpp/internal/model"
-	"bfpp/internal/topology"
 )
 
 // The node-sharing model of Appendix A.3.1 as implemented: a data-parallel
@@ -42,25 +41,5 @@ func TestDPBandwidthSharing(t *testing.T) {
 	g1 := dpTime(8, 1, 8, 64)
 	if g4 >= g1 {
 		t.Errorf("g=4 sharing should be cheaper than g=1: %.4f vs %.4f (normalized)", g4, g1)
-	}
-}
-
-// The engine's link-selection rule must agree with the topology package's
-// notion of whether a data-parallel group spans nodes.
-func TestDPLinkRuleMatchesTopology(t *testing.T) {
-	c := hw.PaperCluster()
-	for _, g := range []topology.Grid{
-		{TP: 1, DP: 8, PP: 8},
-		{TP: 2, DP: 4, PP: 8},
-		{TP: 2, DP: 8, PP: 4},
-		{TP: 8, DP: 8, PP: 1},
-		{TP: 4, DP: 16, PP: 1},
-	} {
-		spans := g.DPGroupSpansNodes(c.GPUsPerNode)
-		// The engine uses TP*DP <= GPUsPerNode for "contained".
-		engineContained := g.TP*g.DP <= c.GPUsPerNode
-		if spans == engineContained {
-			t.Errorf("grid %+v: topology spans=%v but engine contained=%v", g, spans, engineContained)
-		}
 	}
 }

@@ -11,18 +11,42 @@ import (
 	"bfpp/internal/model"
 )
 
+// serialReference is the oracle the searches are checked against: a plain
+// serial loop over Enumerate that simulates every plan on the reference DES
+// with the memo caches bypassed and keeps the first result no later one
+// strictly exceeds. It shares no code with evalGroups. Batches with no
+// feasible plan are skipped, as Sweep skips them.
+func serialReference(t *testing.T, c hw.Cluster, m model.Transformer, f Family, batches []int) []Best {
+	t.Helper()
+	var out []Best
+	for _, b := range batches {
+		plans := Enumerate(context.Background(), c, m, f, b, Options{})
+		if len(plans) == 0 {
+			continue
+		}
+		best := Best{Configs: len(plans)}
+		for i, p := range plans {
+			r, err := engine.SimulateOpts(c, m, p, engine.Options{DisableCache: true, ReferenceDES: true})
+			if err != nil {
+				t.Fatalf("%v batch %d: %v", f, b, err)
+			}
+			if i == 0 || r.Throughput > best.Throughput {
+				best.Result = r
+			}
+		}
+		out = append(out, best)
+	}
+	return out
+}
+
 // TestOptimizeParallelMatchesBaseline runs the same (family, batch) search
-// through the seed-faithful serial evaluator and through the worker pool at
-// several widths, asserting identical winners, throughputs and candidate
-// counts.
+// through the serial reference and through the worker pool at several
+// widths, asserting identical winners, throughputs and candidate counts.
 func TestOptimizeParallelMatchesBaseline(t *testing.T) {
 	c := hw.PaperCluster()
 	m := model.Model6p6B()
 	for _, f := range Families() {
-		want, err := Optimize(context.Background(), c, m, f, 64, Options{Baseline: true})
-		if err != nil {
-			t.Fatalf("%v baseline: %v", f, err)
-		}
+		want := serialReference(t, c, m, f, []int{64})[0]
 		for _, workers := range []int{1, 2, 4, 8} {
 			got, err := Optimize(context.Background(), c, m, f, 64, Options{Workers: workers})
 			if err != nil {
@@ -49,24 +73,20 @@ func TestSweepParallelMatchesBaseline(t *testing.T) {
 	c := hw.PaperCluster()
 	m := model.Model6p6B()
 	batches := []int{1, 32, 64, 96} // batch 1 is infeasible and must be skipped
-	baseline := map[Family][]Best{}
+	reference := map[Family][]Best{}
 	parallelRes := map[Family][]Best{}
 	for _, f := range Families() {
-		b, err := Sweep(context.Background(), c, m, f, batches, Options{Baseline: true})
-		if err != nil {
-			t.Fatalf("%v baseline: %v", f, err)
-		}
-		baseline[f] = b
+		reference[f] = serialReference(t, c, m, f, batches)
 		p, err := Sweep(context.Background(), c, m, f, batches, Options{Workers: 4})
 		if err != nil {
 			t.Fatalf("%v parallel: %v", f, err)
 		}
 		parallelRes[f] = p
 	}
-	want := Table("equivalence", baseline)
+	want := Table("equivalence", reference)
 	got := Table("equivalence", parallelRes)
 	if got != want {
-		t.Errorf("parallel Table output differs from serial baseline:\n--- baseline ---\n%s--- parallel ---\n%s", want, got)
+		t.Errorf("parallel Table output differs from serial reference:\n--- reference ---\n%s--- parallel ---\n%s", want, got)
 	}
 }
 
@@ -96,10 +116,7 @@ func TestPickBestTieStable(t *testing.T) {
 func TestOptimizeConcurrentCallers(t *testing.T) {
 	c := hw.PaperCluster()
 	m := model.Model6p6B()
-	want, err := Optimize(context.Background(), c, m, FamilyBreadthFirst, 64, Options{Baseline: true})
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := serialReference(t, c, m, FamilyBreadthFirst, []int{64})[0]
 	var wg sync.WaitGroup
 	errs := make([]error, 4)
 	for i := range errs {

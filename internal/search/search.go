@@ -38,10 +38,7 @@
 // candidates sharing a checkpoint) — only when its floor fails to prune
 // against the incumbent. Exact tier-2 prices feed the incumbent
 // immediately (the replay IS the simulated time), so siblings prune before
-// the simulation even runs. Options.EagerReplay restores the
-// replay-always pricing (every candidate priced exactly up front,
-// dominance pre-pass instead of warm starts) as an equivalence and
-// benchmarking point.
+// the simulation even runs.
 //
 // Pruning never changes results: a candidate is skipped only when the
 // admissible bound proves it cannot be the winner under the same strict
@@ -52,10 +49,8 @@
 // prechecked (engine.Precheck, the exact pre-simulation validations)
 // before pruning may skip it, so Optimize and Sweep surface the same
 // lowest-index per-candidate error with and without pruning.
-// Options.NoPrune disables the bounds (the perf harness' comparison
-// point) and Options.Baseline additionally bypasses the schedule/memory
-// memo caches and the DES fast path, reproducing the seed evaluator for
-// equivalence tests.
+// Options.NoPrune disables the bounds and simulates every candidate: the
+// search has exactly these two modes, pruned and unpruned.
 package search
 
 import (
@@ -431,13 +426,6 @@ type Options struct {
 	// either way; the perf harness uses it as the pruning speedup
 	// denominator.
 	NoPrune bool
-	// EagerReplay disables the lazy pricing cascade and prices every
-	// candidate with the O(ops) exact replay up front (the pre-cascade
-	// branch-and-bound: exact pricing pre-pass plus dominance filtering,
-	// no warm-started incumbents). Results are identical either way; the
-	// equivalence tests and the perf harness use it as the cascade's
-	// comparison point.
-	EagerReplay bool
 	// Stats, when non-nil, accumulates the pruning counters of this
 	// search — totals plus a per-family breakdown (Stats.Family).
 	Stats *Stats
@@ -470,34 +458,12 @@ type Options struct {
 	// (warm-start seeds never change winners, only pricing effort), the
 	// resumed table is byte-identical to an uninterrupted run's.
 	Resume map[GroupKey]Best
-	// Baseline selects the seed-faithful serial evaluator: one plan at a
-	// time, no pruning, memo caches bypassed, reference DES loop. It
-	// exists for the parallel-vs-serial equivalence tests and as the
-	// denominator of the perf harness (scripts/bench.sh); everyday
-	// callers leave it false.
-	Baseline bool
 }
 
 // progressStride is how many candidate resolutions may pass between two
 // Progress snapshots (milestones — enumeration, dominance, the terminal
 // state — always emit).
 const progressStride = 16
-
-// engineOptions maps the search options onto the per-simulation options.
-func (o Options) engineOptions() engine.Options {
-	return engine.Options{Params: o.Params, DisableCache: o.Baseline, ReferenceDES: o.Baseline}
-}
-
-// workers resolves the effective pool width (1 under Baseline).
-func (o Options) workers() int {
-	if o.Baseline {
-		return 1
-	}
-	return parallel.Resolve(o.Workers)
-}
-
-// prune reports whether the branch-and-bound path is active.
-func (o Options) prune() bool { return !o.Baseline && !o.NoPrune }
 
 // Optimize searches one family at one global batch size and returns the
 // most efficient feasible configuration. Candidate plans are simulated
@@ -604,11 +570,10 @@ type simOut struct {
 // are prechecked (so a candidate whose simulation would error reports it
 // even when the bounds would have skipped it), priced by the tier-1
 // analytic floor, ordered cheapest-bound-first, warm-start-seeded per
-// group, and skipped against the group incumbent — paying the tier-2
-// exact replay only for candidates the floor fails to settle (or priced
-// exactly up front under EagerReplay, with the dominance pre-pass); the
-// winner — and the lowest-index error — is provably the one the unpruned
-// path reports either way.
+// group (seedGroups, the only dominance pass), and skipped against the
+// group incumbent — paying the tier-2 exact replay only for candidates the
+// floor fails to settle; the winner — and the lowest-index error — is
+// provably the one the unpruned path (Options.NoPrune) reports.
 func evalGroups(ctx context.Context, c hw.Cluster, m model.Transformer, groups [][]core.Plan, keys []string, opt Options) ([]*Best, []error, error) {
 	if opt.Stats == nil && opt.Progress != nil {
 		// Progress is built on the counters; give it a private set when the
@@ -659,9 +624,8 @@ func evalGroups(ctx context.Context, c hw.Cluster, m model.Transformer, groups [
 	for i := range order {
 		order[i] = i
 	}
-	prune := opt.prune()
-	cascade := prune && !opt.EagerReplay
-	eopt := opt.engineOptions()
+	prune := !opt.NoPrune
+	eopt := engine.Options{Params: opt.Params}
 	outs := make([]simOut, len(jobs))
 	lbs := make([]float64, len(jobs))
 	incs := make([]incumbent, len(groups))
@@ -709,22 +673,18 @@ func evalGroups(ctx context.Context, c hw.Cluster, m model.Transformer, groups [
 		par = *opt.Params
 	}
 	var rc *schedule.ReplayCache
-	if cascade {
+	if prune && len(jobs) > 0 {
 		// One prefix-amortization cache for the whole call: candidates at
 		// one grid point share replay checkpoints across the seed pass and
 		// the tier-2 pricings below.
 		rc = schedule.NewReplayCache()
-	}
-	if prune && len(jobs) > 0 {
 		// Precheck and price every candidate on the same worker pool the
 		// simulations use (each entry is independent, so the pass is
-		// deterministic); under EagerReplay the exact replays are O(ops)
-		// and would otherwise serialize in front of the pool. Recording
-		// precheck failures here, before any pruning decision, is what
-		// makes the per-candidate errors independent of pruning: the
-		// failing candidate reports even when the bounds would have skipped
-		// its simulation.
-		parallel.MapCtx(ctx, opt.workers(), jobs, func(i int, _ job) (struct{}, error) {
+		// deterministic). Recording precheck failures here, before any
+		// pruning decision, is what makes the per-candidate errors
+		// independent of pruning: the failing candidate reports even when
+		// the bounds would have skipped its simulation.
+		parallel.MapCtx(ctx, opt.Workers, jobs, func(i int, _ job) (struct{}, error) {
 			j := &jobs[i]
 			if err := engine.Precheck(c, m, j.plan, eopt); err != nil {
 				outs[i].err = fmt.Errorf("search: %v: %w", j.plan, err)
@@ -732,16 +692,10 @@ func evalGroups(ctx context.Context, c hw.Cluster, m model.Transformer, groups [
 				return struct{}{}, nil
 			}
 			j.flop = m.BatchFlopPerGPU(j.plan.MicroBatch, j.plan.NumMicro, j.plan.PP, j.plan.TP)
-			var lb float64
-			if cascade {
-				// Tier 1: the cheap floor. Whether an exact tier-2 price
-				// exists depends only on the method, recorded for the
-				// execution pass.
-				j.replay = schedule.Replayable(j.plan.Method)
-				lb = analytic.Floor(c, m, j.plan, &par)
-			} else {
-				lb, j.exact = analytic.LowerBound(c, m, j.plan, &par)
-			}
+			// Tier 1: the cheap floor. Whether an exact tier-2 price exists
+			// depends only on the method, recorded for the execution pass.
+			j.replay = schedule.Replayable(j.plan.Method)
+			lb := analytic.Floor(c, m, j.plan, &par)
 			lbs[i] = lb
 			if lb > 0 {
 				j.ub = j.flop / lb
@@ -753,14 +707,10 @@ func evalGroups(ctx context.Context, c hw.Cluster, m model.Transformer, groups [
 		if err := ctx.Err(); err != nil {
 			return nil, nil, err
 		}
-		if cascade {
-			if err := seedGroups(ctx, c, m, groups, keys, jobs, bounds, lbs, incs, rc, &par, famStats, opt.Stats); err != nil {
-				return nil, nil, err
-			}
-		} else {
-			markDominated(jobs, bounds, famStats, opt.Stats)
+		if err := seedGroups(ctx, c, m, groups, keys, jobs, bounds, lbs, incs, rc, &par, famStats, opt.Stats); err != nil {
+			return nil, nil, err
 		}
-		progress(true) // seed/dominance pass resolved its share of the candidates
+		progress(true) // the seed pass resolved its dominated share of the candidates
 		// Cheapest (fastest-looking) bound first, stable on the flat
 		// enumeration order: the likely winners simulate early and the
 		// incumbent tightens before the long tail is reached.
@@ -792,7 +742,7 @@ func evalGroups(ctx context.Context, c hw.Cluster, m model.Transformer, groups [
 			}
 		}
 	}
-	_, ctxErr := parallel.MapCtx(ctx, opt.workers(), order, func(_ int, ji int) (struct{}, error) {
+	_, ctxErr := parallel.MapCtx(ctx, opt.Workers, order, func(_ int, ji int) (struct{}, error) {
 		j := &jobs[ji]
 		if j.failed {
 			// The precheck already recorded the exact error the simulation
@@ -813,7 +763,7 @@ func evalGroups(ctx context.Context, c hw.Cluster, m model.Transformer, groups [
 			resolve(j.group)
 			return struct{}{}, nil
 		}
-		if cascade && j.replay && !j.exact {
+		if prune && j.replay && !j.exact {
 			// Tier 2: the floor failed to settle this candidate against the
 			// incumbent; pay the exact O(ops) replay once. Both tiers are
 			// admissible, so tightening the bound here can only turn "maybe"
@@ -844,7 +794,7 @@ func evalGroups(ctx context.Context, c hw.Cluster, m model.Transformer, groups [
 				return struct{}{}, nil
 			}
 		}
-		if cascade && j.exact {
+		if prune && j.exact {
 			// The exact price IS the simulated time, so nothing more is
 			// learned by simulating now; defer the simulation to the final
 			// pass, which runs it only if the candidate still survives the
@@ -871,7 +821,7 @@ func evalGroups(ctx context.Context, c hw.Cluster, m model.Transformer, groups [
 		resolve(j.group)
 		return struct{}{}, nil
 	})
-	if cascade && ctxErr == nil {
+	if prune && ctxErr == nil {
 		// Final pass over the deferred exactly-priced candidates, best
 		// first per group: the leader simulates (producing the full
 		// engine.Result the winner needs), which makes every remaining
@@ -973,8 +923,7 @@ func matchShape(a, b core.Plan) bool {
 // and depends only on the enumeration, the floors and the replays, so the
 // Dominated counter stays deterministic at any worker count. Groups with
 // no replayable candidate (the list-scheduled V-schedule family) get no
-// seed and start against an empty incumbent, exactly like the pre-cascade
-// path when no exact candidate existed.
+// seed and start against an empty incumbent.
 func seedGroups(ctx context.Context, c hw.Cluster, m model.Transformer, groups [][]core.Plan, keys []string, jobs []job, bounds []int, lbs []float64, incs []incumbent, rc *schedule.ReplayCache, par *engine.Params, famStats []*FamilyStats, stats *Stats) error {
 	// Family key ascending, batch descending: the largest batch resolves
 	// first, so its winner shape — typically stable across adjacent grid
@@ -1064,9 +1013,11 @@ func seedGroups(ctx context.Context, c hw.Cluster, m model.Transformer, groups [
 			continue
 		}
 		incs[gi].update(bestUb, seg[best].idx)
-		// Dominance against the seed's true throughput, exactly the
-		// markDominated rule: a candidate whose admissible upper bound
-		// falls below it — or ties it from a higher index — can never win.
+		// Dominance against the seed's true throughput: a candidate whose
+		// admissible upper bound falls below it — or ties it from a higher
+		// index — can never win under the pickBest rule. Candidates whose
+		// precheck failed carry no bound and are left alone: their error
+		// must surface regardless of pruning.
 		for i := range seg {
 			j := &seg[i]
 			if j.failed {
@@ -1085,50 +1036,6 @@ func seedGroups(ctx context.Context, c hw.Cluster, m model.Transformer, groups [
 		prevWinner[keys[gi]] = seg[best].plan
 	}
 	return nil
-}
-
-// markDominated removes, within each group, candidates an exactly-priced
-// sibling provably beats: the best exact candidate's throughput is known
-// without simulation (its bound is the simulated time bit for bit), so any
-// candidate whose upper bound falls below it — or ties it from a higher
-// enumeration index — can never win under the pickBest rule. The pass is
-// deterministic: it depends only on the enumeration and the bounds.
-// Candidates whose precheck failed carry no bound and are left alone on
-// both sides: their error must surface regardless of pruning. It serves
-// the EagerReplay path, where every candidate is priced exactly up front;
-// the cascade's equivalent is seedGroups.
-func markDominated(jobs []job, bounds []int, famStats []*FamilyStats, stats *Stats) {
-	for gi := 0; gi+1 < len(bounds); gi++ {
-		seg := jobs[bounds[gi]:bounds[gi+1]]
-		bestTp, bestIdx, found := 0.0, 0, false
-		for i := range seg {
-			j := &seg[i]
-			if !j.exact || j.failed {
-				continue
-			}
-			if !found || j.ub > bestTp || (j.ub == bestTp && j.idx < bestIdx) {
-				bestTp, bestIdx, found = j.ub, j.idx, true
-			}
-		}
-		if !found {
-			continue
-		}
-		for i := range seg {
-			j := &seg[i]
-			if j.failed {
-				continue
-			}
-			if j.ub < bestTp || (j.ub == bestTp && bestIdx < j.idx) {
-				j.prune = true
-				if stats != nil {
-					stats.Dominated.Add(1)
-					if fs := famStats[gi]; fs != nil {
-						fs.Dominated.Add(1)
-					}
-				}
-			}
-		}
-	}
 }
 
 // Sweep runs the family's search across batch sizes, skipping batches with
@@ -1260,10 +1167,6 @@ func Enumerate(ctx context.Context, c hw.Cluster, m model.Transformer, f Family,
 	if opt.MaxMicroBatch <= 0 {
 		opt.MaxMicroBatch = 16
 	}
-	estimate := memsim.CachedEstimate
-	if opt.Baseline {
-		estimate = memsim.Estimate
-	}
 	nGPU := c.NumGPUs()
 	var plans []core.Plan
 	for _, v := range f.Info().Variants {
@@ -1315,8 +1218,7 @@ func Enumerate(ctx context.Context, c hw.Cluster, m model.Transformer, f Family,
 								if p.Validate(m) != nil {
 									continue
 								}
-								if !opt.Baseline &&
-									!analytic.MemoryFeasible(m, p, c.GPU.MemBytes) {
+								if !analytic.MemoryFeasible(m, p, c.GPU.MemBytes) {
 									// The floor never exceeds the estimate,
 									// so this skips only plans the full
 									// check below would reject — without
@@ -1327,7 +1229,7 @@ func Enumerate(ctx context.Context, c hw.Cluster, m model.Transformer, f Family,
 									// consulting the in-flight hook.
 									continue
 								}
-								if !memsim.Feasible(estimate(m, p), c.GPU.MemBytes) {
+								if !memsim.Feasible(memsim.CachedEstimate(m, p), c.GPU.MemBytes) {
 									continue
 								}
 								plans = append(plans, p)
