@@ -19,7 +19,7 @@ lint:
 # race runs exactly ci.sh's race pass (same packages, same -run pattern).
 race:
 	go test -race -count=1 \
-		-run 'Parallel|Cache|Concurrent|Sweep|FastPath|RunMatches|Curve|CheapArtifacts|LowerBound|ExactBound|Lattice|PrunedErrors|PerFamily|Ctx|Cancel|Progress|HTTP|Search|Registry|Chaos|Fault|Supervisor|Recover|Shed|Partial|Retry|Seeded|Script|Sleep|Cascade|WarmStart|Checkpoint|Resume|Journal|Store|Corrupt|Dispatch|Replica|Sharder|Metrics|Stream|CostModel|Fit' \
+		-run 'Parallel|Cache|Concurrent|Sweep|FastPath|RunMatches|Curve|CheapArtifacts|LowerBound|ExactBound|Lattice|PrunedErrors|PerFamily|Ctx|Cancel|Progress|HTTP|Search|Registry|Chaos|Fault|Supervisor|Recover|Shed|Partial|Retry|Seeded|Script|Sleep|Cascade|WarmStart|Checkpoint|Resume|Journal|Store|Corrupt|Dispatch|Replica|Sharder|Metrics|Stream|CostModel|Fit|VSchedule' \
 		./internal/parallel ./internal/search ./internal/schedule \
 		./internal/memsim ./internal/des ./internal/engine \
 		./internal/figures ./internal/tradeoff \

@@ -167,7 +167,7 @@ echo "fit deterministic (measure->fit == refit == refit) and the fitted-profile 
 if [ "${SKIP_RACE:-0}" != "1" ]; then
 	echo "== go test -race (concurrent search/service paths + cancellation + bound properties + chaos/recovery + durability/dispatch)"
 	go test -race -count=1 \
-		-run 'Parallel|Cache|Concurrent|Sweep|FastPath|RunMatches|Curve|CheapArtifacts|LowerBound|ExactBound|Lattice|PrunedErrors|PerFamily|Ctx|Cancel|Progress|HTTP|Search|Registry|Chaos|Fault|Supervisor|Recover|Shed|Partial|Retry|Seeded|Script|Sleep|Cascade|WarmStart|Checkpoint|Resume|Journal|Store|Corrupt|Dispatch|Replica|Sharder|Metrics|Stream|CostModel|Fit' \
+		-run 'Parallel|Cache|Concurrent|Sweep|FastPath|RunMatches|Curve|CheapArtifacts|LowerBound|ExactBound|Lattice|PrunedErrors|PerFamily|Ctx|Cancel|Progress|HTTP|Search|Registry|Chaos|Fault|Supervisor|Recover|Shed|Partial|Retry|Seeded|Script|Sleep|Cascade|WarmStart|Checkpoint|Resume|Journal|Store|Corrupt|Dispatch|Replica|Sharder|Metrics|Stream|CostModel|Fit|VSchedule' \
 		./internal/parallel ./internal/search ./internal/schedule \
 		./internal/memsim ./internal/des ./internal/engine \
 		./internal/figures ./internal/tradeoff \

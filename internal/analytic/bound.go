@@ -12,8 +12,9 @@ package analytic
 // generator's own emitter writes on the engine's per-device compute/pp/dp
 // stream model exactly (bit-identical to the DES makespan, overlapped
 // implementations included), paid only when the floor fails to prune;
-// methods that are not schedule.Replayable (the list-scheduled V-schedule)
-// have no tier 2 and their floor is the final bound. internal/search uses
+// generators without an emitter (the list-scheduled V-schedule) are
+// replayed from their checked program, so every generator is priced
+// exactly. internal/search uses
 // the bounds to order candidates cheapest-first and to skip simulations
 // that provably cannot beat the incumbent.
 
@@ -29,10 +30,9 @@ import (
 // LowerBound returns an admissible lower bound on the simulated batch time
 // of (c, m, p) under the engine calibration par (nil means
 // engine.Defaults()), and whether the bound is exact — equal, bit for bit,
-// to engine.SimulateOpts' BatchTime, which holds for every
-// schedule.Replayable method (all the paper methods plus WS-1F1B,
-// overlapped or not; only the list-scheduled V-schedule reports a floor).
-// The plan must be valid for the model.
+// to engine.SimulateOpts' BatchTime, which holds for every registered
+// generator, overlapped or not (the floor is returned only when the plan
+// has no valid program). The plan must be valid for the model.
 func LowerBound(c hw.Cluster, m model.Transformer, p core.Plan, par *engine.Params) (lb float64, exact bool) {
 	return LowerBoundCached(c, m, p, par, nil)
 }

@@ -75,10 +75,10 @@ func randomBoundPlan(rng *rand.Rand, m core.Method, traits schedule.Traits) (cor
 // TestLowerBoundNeverExceedsSimulation is the admissibility property of
 // the branch-and-bound evaluator: for randomized plans of every registered
 // generator, the analytic lower bound never exceeds the DES-simulated
-// batch time, and a bound reported exact matches it bit for bit. Since the
-// multi-stream replay, exactness is required of every schedule.Replayable
-// method — everything except the list-scheduled V-schedule — overlapped
-// implementations and vee placements included. Every plan is also priced
+// batch time, and a bound reported exact matches it bit for bit.
+// Exactness is required of every generator — the emitter-driven ones and
+// the list-scheduled V-schedule, whose checked program is replayed —
+// overlapped implementations and vee placements included. Every plan is also priced
 // through one ReplayCache shared across the method's plans, which must
 // return exactly the uncached bound: the cache is a pure performance
 // channel.
@@ -119,7 +119,7 @@ func TestLowerBoundNeverExceedsSimulation(t *testing.T) {
 					t.Errorf("%v: exact bound %v != simulated %v (diff %v) for %v",
 						method, lb, res.BatchTime, lb-res.BatchTime, p)
 				}
-			} else if schedule.Replayable(method) {
+			} else {
 				t.Errorf("%v: bound not exact for %v (the multi-stream replay must cover it)", method, p)
 			}
 		}
@@ -222,9 +222,11 @@ func TestExactBoundForOverlapped(t *testing.T) {
 }
 
 // TestVScheduleFloorAdmissible sweeps the V-schedule's in-flight caps on
-// vee placements: the list-schedule-aware warmup/drain floor must stay
-// admissible at every cap (smaller caps only delay operations, so the
-// placement-derived chains keep holding) while never claiming exactness.
+// vee placements: the list-schedule-aware warmup/drain floor (the tier-1
+// Floor) must stay admissible at every cap (smaller caps only delay
+// operations, so the placement-derived chains keep holding), and the
+// tier-2 LowerBound, which replays the checked list-scheduled program,
+// must be exact and equal the simulated batch time bit for bit.
 func TestVScheduleFloorAdmissible(t *testing.T) {
 	c := hw.PaperCluster()
 	m := boundModel()
@@ -243,16 +245,15 @@ func TestVScheduleFloorAdmissible(t *testing.T) {
 				if err := p.Validate(m); err != nil {
 					t.Fatalf("case %v invalid: %v", p, err)
 				}
-				lb, exact := LowerBound(c, m, p, nil)
-				if exact {
-					t.Errorf("%v: list-scheduled V-schedule must not claim exactness", p)
-				}
 				res, err := engine.Simulate(c, m, p)
 				if err != nil {
 					t.Fatalf("simulate %v: %v", p, err)
 				}
-				if lb <= 0 || lb > res.BatchTime {
-					t.Errorf("%v: floor %v outside (0, %v]", p, lb, res.BatchTime)
+				if f := Floor(c, m, p, nil); f <= 0 || f > res.BatchTime {
+					t.Errorf("%v: floor %v outside (0, %v]", p, f, res.BatchTime)
+				}
+				if lb, exact := LowerBound(c, m, p, nil); !exact || lb != res.BatchTime {
+					t.Errorf("%v: bound (%v, %v), want exact %v", p, lb, exact, res.BatchTime)
 				}
 			}
 		}
@@ -262,10 +263,11 @@ func TestVScheduleFloorAdmissible(t *testing.T) {
 // TestVScheduleCappedFloorAdmissibleRandom stresses the cap-aware term of
 // the V-schedule floor on randomized tightly-capped plans: caps at or near
 // the deadlock floor (Loops) with deep micro-batch counts, where the
-// forced-serialization term dominates the warmup/drain chains. The floor
-// must stay admissible — the greedy generator's serial-head exemption may
-// run a few forwards past the cap, and the bound's capEff margin must
-// absorb exactly that — and must never claim exactness.
+// forced-serialization term dominates the warmup/drain chains. The tier-1
+// Floor must stay admissible — the greedy generator's serial-head
+// exemption may run a few forwards past the cap, and the bound's capEff
+// margin must absorb exactly that — and the tier-2 LowerBound must be
+// exact and equal the simulated batch time bit for bit.
 func TestVScheduleCappedFloorAdmissibleRandom(t *testing.T) {
 	c := hw.PaperCluster()
 	m := boundModel()
@@ -290,17 +292,17 @@ func TestVScheduleCappedFloorAdmissibleRandom(t *testing.T) {
 			continue
 		}
 		checked++
-		lb, exact := LowerBound(c, m, p, nil)
-		if exact {
-			t.Errorf("%v: list-scheduled V-schedule must not claim exactness", p)
-		}
 		res, err := engine.Simulate(c, m, p)
 		if err != nil {
 			t.Fatalf("simulate %v: %v", p, err)
 		}
-		if lb <= 0 || lb > res.BatchTime {
+		if f := Floor(c, m, p, nil); f <= 0 || f > res.BatchTime {
 			t.Errorf("%v: capped floor %v outside (0, %v] (diff %v)",
-				p, lb, res.BatchTime, lb-res.BatchTime)
+				p, f, res.BatchTime, f-res.BatchTime)
+		}
+		if lb, exact := LowerBound(c, m, p, nil); !exact || lb != res.BatchTime {
+			t.Errorf("%v: bound (%v, %v), want exact %v (diff %v)",
+				p, lb, exact, res.BatchTime, lb-res.BatchTime)
 		}
 	}
 	if checked < 40 {

@@ -40,8 +40,8 @@ func boundCostModels(t *testing.T) map[string]cost.Model {
 // replay exactness hold for EVERY registered generator under EVERY
 // registered cost model — the per-op tuples change, the argument does not.
 // Same contract as TestLowerBoundNeverExceedsSimulation: bound <= simulated
-// always, and every method except the list-scheduled V-schedule must report
-// an exact bound that matches the simulation bit for bit.
+// always, and every method — the list-scheduled V-schedule included — must
+// report an exact bound that matches the simulation bit for bit.
 func TestLowerBoundAdmissibleForEveryCostModel(t *testing.T) {
 	c := hw.PaperCluster()
 	m := boundModel()
@@ -79,7 +79,7 @@ func TestLowerBoundAdmissibleForEveryCostModel(t *testing.T) {
 							t.Errorf("%v: exact bound %v != simulated %v (diff %v) for %v",
 								method, lb, res.BatchTime, lb-res.BatchTime, p)
 						}
-					} else if schedule.Replayable(method) {
+					} else {
 						t.Errorf("%v: bound not exact for %v under the %s model", method, p, name)
 					}
 				}

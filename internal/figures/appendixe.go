@@ -49,11 +49,11 @@ func AppendixELarge(ctx context.Context, cfg Config) (string, error) {
 		}
 		b.WriteString("\n")
 	}
-	b.WriteString("branch-and-bound: candidates are priced by the analytic step-time lower\n")
-	b.WriteString("bound (the multi-stream schedule replay, exact for every generator with\n")
-	b.WriteString("an implicit op sequence — overlapped or not; a vee warmup/drain floor\n")
-	b.WriteString("for the list-scheduled V-schedule) and only simulated when the bound can\n")
-	b.WriteString("still beat the incumbent; winners are byte-identical to the exhaustive\n")
-	b.WriteString("search.\n")
+	b.WriteString("branch-and-bound: every candidate is priced by a cheap analytic floor;\n")
+	b.WriteString("those the floor cannot prune pay the multi-stream schedule replay (of the\n")
+	b.WriteString("generator's emitter, or of its checked program for the list-scheduled\n")
+	b.WriteString("V-schedule), exact for every generator, overlapped or not. A candidate\n")
+	b.WriteString("is simulated only when its price can still beat the incumbent; winners\n")
+	b.WriteString("are byte-identical to the exhaustive search.\n")
 	return b.String(), nil
 }

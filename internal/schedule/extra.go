@@ -107,11 +107,12 @@ func (vScheduleGen) Traits() Traits {
 		// whatever the cap.
 		InFlightFloor: func(p core.Plan) int { return p.Loops },
 		KeyExtra:      vCap,
-		// The greedy list-scheduled programs have no fixed per-rank emitter
-		// to replay, so the method has no exact tier-2 bound; the
-		// vee-placement warmup/drain floor (with its cap-aware term) is the
-		// cheap tier-1 bound internal/analytic maximizes with the generic
-		// floor.
+		// The greedy list-scheduled programs have no per-rank emitter, so
+		// the exact tier-2 bound (ReplayLB) replays the checked, memoized
+		// program instead; the vee-placement warmup/drain floor (with its
+		// cap-aware term) is the cheap tier-1 bound internal/analytic
+		// maximizes with the generic floor, settling candidates before
+		// any replay.
 		StepFloor: vScheduleFloor,
 		// The controllable-memory dial (ROADMAP open item): enumerate a
 		// small set of in-flight caps per grid point — the default (N_PP),

@@ -24,10 +24,13 @@ func TestUnregisteredMethodError(t *testing.T) {
 }
 
 // TestRegistryCoversAllMethods asserts every registered core method has a
-// generator and coherent metadata, and that every generator but the
-// list-scheduled V-schedule is Replayable (has an emitter, hence an exact
-// tier-2 bound).
+// generator and coherent metadata, and that ReplayLB prices a valid plan
+// of every generator exactly — from its emitter or, for list-scheduled
+// generators without one, from its checked program — with and without a
+// replay cache.
 func TestRegistryCoversAllMethods(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	costs := StepCosts{Fwd: 1, Bwd: 2, Transfer: 0.25, PPStall: 0.125, Reduce: 0.5, Restore: 0.375, Opt: 0.0625}
 	for _, m := range core.Methods() {
 		g, ok := Lookup(m)
 		if !ok {
@@ -44,8 +47,22 @@ func TestRegistryCoversAllMethods(t *testing.T) {
 		if tr.Family != "" && tr.FamilyName == "" && firstOfFamily(m, tr.Family) {
 			t.Errorf("%v: first generator of family %q must set FamilyName", m, tr.Family)
 		}
-		if want := m != core.VSchedule; Replayable(m) != want {
-			t.Errorf("%v: Replayable = %v, want %v", m, Replayable(m), want)
+		var p core.Plan
+		drawn := false
+		for trial := 0; trial < 400 && !drawn; trial++ {
+			p, drawn = randomPlan(rng, m)
+		}
+		if !drawn {
+			t.Errorf("%v: no valid random plan in 400 draws", m)
+			continue
+		}
+		lb, exact := ReplayLB(p, costs, nil)
+		if !exact || lb <= 0 {
+			t.Errorf("%v: ReplayLB(%v) = (%v, %v), want an exact positive price", m, p, lb, exact)
+			continue
+		}
+		if got, ok := ReplayLB(p, costs, NewReplayCache()); !ok || got != lb {
+			t.Errorf("%v: cached ReplayLB(%v) = (%v, %v), want (%v, true)", m, p, got, ok, lb)
 		}
 	}
 }

@@ -25,7 +25,11 @@ import (
 // stream reproduces the DES makespan bit for bit — for non-overlapped and
 // overlapped plans alike — which is what lets the search treat the bound
 // as the exact simulated time and skip the simulation entirely. A
-// schedule's op order is therefore written exactly once.
+// schedule's op order is therefore written exactly once. A generator whose
+// op order comes out of a whole-plan pass (the list-scheduled V-schedule)
+// has no emitter; its checked program, which Cached has already memoized
+// for the engine, is replayed instead, so every generator is priced
+// exactly.
 
 // StepCosts holds the engine's derived per-operation durations for one
 // (cluster, model, plan) configuration, in seconds. engine.DeriveCosts is
@@ -490,9 +494,9 @@ func replayMakespan(sc *replayScratch, p core.Plan) float64 {
 	return makespan
 }
 
-// replay evaluates the exact DES makespan of a plan from its generator's
-// emitter, which writes each rank's Forward, Backward, Restore and Reduce
-// ops (the trailing Optimize is implicit). It models the engine's three
+// replay evaluates the exact DES makespan of a plan from an emitter, which
+// writes each rank's Forward, Backward, Restore and Reduce ops (the
+// trailing Optimize is implicit). It models the engine's three
 // per-device streams — compute, pipeline transfer and data-parallel — with
 // one cursor each over the same op sequence: a cursor executes the ops that
 // ride its stream and keeps static creation-order bookkeeping for the ones
@@ -649,10 +653,12 @@ func (rc *ReplayCache) checkpoint(key replayCacheKey, build func() *replayCheckp
 
 // --- Tier-2 entry point and the cheap floors. ---
 
-// emitter is implemented by every generator whose program is a fixed
-// per-rank op order (all but the list-scheduled V-schedule). emit appends
-// one rank's ops without the trailing optimizer; Generate builds the
-// Schedule from it and ReplayLB prices it.
+// emitter is implemented by every generator whose program is written as a
+// fixed per-rank op order. emit appends one rank's ops without the
+// trailing optimizer; Generate builds the Schedule from it and ReplayLB
+// prices it straight from the emitter, allocation-free. A generator
+// without one (the list-scheduled V-schedule) is priced by replaying its
+// checked, memoized program instead.
 type emitter interface {
 	emit(b *progBuilder, rank int)
 }
@@ -664,24 +670,15 @@ type prefixReplayer interface {
 	replayCached(p core.Plan, c StepCosts, rc *ReplayCache) (float64, bool)
 }
 
-// Replayable reports whether the method's generator has an emitter, that
-// is, whether ReplayLB can price its plans exactly.
-func Replayable(m core.Method) bool {
-	g, ok := Lookup(m)
-	if !ok {
-		return false
-	}
-	_, ok = g.(emitter)
-	return ok
-}
-
 // ReplayLB is the tier-2 bound: the exact DES makespan of the plan under
-// the given per-operation costs, obtained by replaying the ops its
-// generator emits on the engine's multi-stream model. exact is false when
-// the method is not Replayable (or its sequences deadlock); the caller
-// then falls back to its floor. rc shares replay prefixes between the
-// candidates of one search group; nil means uncached, and the result is
-// identical either way.
+// the given per-operation costs, obtained by replaying its ops on the
+// engine's multi-stream model. The ops come from the generator's emitter
+// when it has one, and otherwise from the checked program Cached memoizes
+// (the one the engine simulates), so every registered generator is priced
+// exactly. exact is false only when the plan has no valid program or the
+// sequences deadlock; the caller then falls back to its floor. rc shares
+// replay prefixes between the candidates of one search group; nil means
+// uncached, and the result is identical either way.
 func ReplayLB(p core.Plan, c StepCosts, rc *ReplayCache) (lb float64, exact bool) {
 	g, ok := Lookup(p.Method)
 	if !ok {
@@ -690,11 +687,17 @@ func ReplayLB(p core.Plan, c StepCosts, rc *ReplayCache) (lb float64, exact bool
 	if pr, ok := g.(prefixReplayer); ok && rc != nil {
 		return pr.replayCached(p, c, rc)
 	}
-	e, ok := g.(emitter)
-	if !ok {
+	if e, ok := g.(emitter); ok {
+		return replay(p, c, e.emit)
+	}
+	s, err := Cached(p)
+	if err != nil {
 		return 0, false
 	}
-	return replay(p, c, e.emit)
+	return replay(p, c, func(b *progBuilder, r int) {
+		prog := s.Devices[r]
+		b.prog = append(b.prog, prog[:len(prog)-1]...) // Check pins Optimize as the final op
+	})
 }
 
 // forwardFirstFloor is the admissible lower bound of the overlapped
@@ -726,17 +729,18 @@ func forwardFirstFloor(p core.Plan, c StepCosts) float64 {
 }
 
 // vScheduleFloor is the list-schedule-aware warmup/drain floor of the
-// vee-placed V-schedule, whose greedy list-scheduled programs have no
-// fixed per-rank emitter to replay. It exploits two structural facts the
-// generic placement floor cannot see: (a) no backward anywhere may start
-// before some micro-batch's complete forward chain has reached the last
-// stage, after which the device hosting that stage — which, in the vee
-// placement, also hosts stage 0 — still executes its entire backward
-// workload; and (b) every stage-0 backward additionally waits for the
-// backward chain down from the last stage, and all N_mb of them serialize
-// on stage 0's device. Both terms are placement-derived dependency chains,
-// valid at any in-flight cap (the cap only delays ops further), and are
-// shaved by BoundSlack like every plain-arithmetic bound.
+// vee-placed V-schedule: its tier-1 StepFloor, which settles candidates
+// before ReplayLB pays for replaying their greedy list-scheduled programs.
+// It exploits two structural facts the generic placement floor cannot see:
+// (a) no backward anywhere may start before some micro-batch's complete
+// forward chain has reached the last stage, after which the device hosting
+// that stage — which, in the vee placement, also hosts stage 0 — still
+// executes its entire backward workload; and (b) every stage-0 backward
+// additionally waits for the backward chain down from the last stage, and
+// all N_mb of them serialize on stage 0's device. Both terms are
+// placement-derived dependency chains, valid at any in-flight cap (the cap
+// only delays ops further), and are shaved by BoundSlack like every
+// plain-arithmetic bound.
 func vScheduleFloor(p core.Plan, c StepCosts) float64 {
 	nStages := p.Stages()
 	nm := float64(p.NumMicro)

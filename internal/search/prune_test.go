@@ -212,13 +212,21 @@ func TestPrunedErrorsMatchUnpruned(t *testing.T) {
 // TestPerFamilyStats pins the per-family pruning breakdown: family
 // counters sum to the totals, and the overlapped families — priced exactly
 // by the multi-stream replay — prune a substantial share of their
-// candidates (they used to rely on the loose generic floor alone).
+// candidates (they used to rely on the loose generic floor alone). Since
+// every generator is priced exactly, each feasible (family, batch) group
+// simulates exactly one candidate, its winner: the sweep has no precheck
+// failures, which would add to the count.
 func TestPerFamilyStats(t *testing.T) {
 	c := hw.PaperCluster()
 	m := model.Model6p6B()
 	stats := &Stats{}
-	if _, err := SweepAll(context.Background(), c, m, AllFamilies(), []int{32, 64, 128}, Options{Stats: stats, Workers: 4}); err != nil {
+	out, err := SweepAll(context.Background(), c, m, AllFamilies(), []int{32, 64, 128}, Options{Stats: stats, Workers: 4})
+	if err != nil {
 		t.Fatal(err)
+	}
+	groups := map[string]int64{}
+	for f, bests := range out {
+		groups[f.Info().Key] = int64(len(bests))
 	}
 	keys := stats.FamilyKeys()
 	if len(keys) != len(AllFamilies()) {
@@ -235,15 +243,18 @@ func TestPerFamilyStats(t *testing.T) {
 			fs.Enumerated.Load(); got != want {
 			t.Errorf("family %s: counters do not add up: %d vs %d enumerated", k, got, want)
 		}
+		if got, want := fs.Simulated.Load(), groups[k]; got != want {
+			t.Errorf("family %s: simulated %d candidates, want one per feasible group (%d)", k, got, want)
+		}
 		t.Logf("family %s: %v", k, fs)
 	}
 	if enum != stats.Enumerated.Load() || dom != stats.Dominated.Load() ||
 		skip != stats.BoundSkipped.Load() || sim != stats.Simulated.Load() {
 		t.Errorf("family counters do not sum to totals: %d/%d/%d/%d vs %v", enum, dom, skip, sim, &stats.FamilyStats)
 	}
-	// The tentpole's acceptance: the overlapped families are now priced by
-	// the exact replay and must actually prune.
-	for _, k := range []string{"bf", "ws", "hy"} {
+	// The overlapped families and the list-scheduled V-schedule are priced
+	// by the exact replay and must actually prune.
+	for _, k := range []string{"bf", "ws", "hy", "v"} {
 		if fs := stats.Family(k); fs.Enumerated.Load() > 0 && fs.PruneRate() < 0.25 {
 			t.Errorf("overlapped family %s prunes only %.1f%% (%v), want a substantial rate", k, 100*fs.PruneRate(), fs)
 		}

@@ -28,17 +28,17 @@
 // analytic floor (analytic.Floor — O(1) arithmetic, no schedule replay);
 // a deterministic warm-start pass then seeds each (family, batch) group's
 // incumbent by exactly pricing up to two seed candidates (the group's
-// cheapest-floor replayable plan, and the previous — larger-batch — group
-// winner's shape re-matched in this group), so early candidates face a
-// real bound instead of pricing against nothing. Jobs are ordered
+// cheapest-floor plan, and the previous — larger-batch — group winner's
+// shape re-matched in this group), so early candidates face a real bound
+// instead of pricing against nothing. Jobs are ordered
 // cheapest-bound-first, and a candidate reaches tier 2 — the O(ops) exact
 // multi-stream schedule replay (analytic.LowerBoundCached, bit-identical
-// to the DES makespan for every schedule.Replayable method, replaying the
-// ops the generator's own emitter writes; prefix-amortized across
-// candidates sharing a checkpoint) — only when its floor fails to prune
-// against the incumbent. Exact tier-2 prices feed the incumbent
-// immediately (the replay IS the simulated time), so siblings prune before
-// the simulation even runs.
+// to the DES makespan for every registered generator, replaying the ops
+// the generator's own emitter writes, or its checked program when it has
+// no emitter; prefix-amortized across candidates sharing a checkpoint) —
+// only when its floor fails to prune against the incumbent. Exact tier-2
+// prices feed the incumbent immediately (the replay IS the simulated
+// time), so siblings prune before the simulation even runs.
 //
 // Pruning never changes results: a candidate is skipped only when the
 // admissible bound proves it cannot be the winner under the same strict
@@ -517,7 +517,6 @@ type job struct {
 	ub       float64 // analytic throughput upper bound (FlopPerGPU / lower bound)
 	flop     float64 // BatchFlopPerGPU, shared by the cascade's two pricings
 	exact    bool    // the bound equals the simulated time bit for bit
-	replay   bool    // the method has a tier-2 exact replay (schedule.Replayable)
 	prune    bool    // removed by the deterministic dominance pre-pass
 	failed   bool    // precheck reported the error a simulation would
 	deferred bool    // exactly priced, simulation deferred to the final pass
@@ -692,9 +691,7 @@ func evalGroups(ctx context.Context, c hw.Cluster, m model.Transformer, groups [
 				return struct{}{}, nil
 			}
 			j.flop = m.BatchFlopPerGPU(j.plan.MicroBatch, j.plan.NumMicro, j.plan.PP, j.plan.TP)
-			// Tier 1: the cheap floor. Whether an exact tier-2 price exists
-			// depends only on the method, recorded for the execution pass.
-			j.replay = schedule.Replayable(j.plan.Method)
+			// Tier 1: the cheap floor.
 			lb := analytic.Floor(c, m, j.plan, &par)
 			lbs[i] = lb
 			if lb > 0 {
@@ -763,7 +760,7 @@ func evalGroups(ctx context.Context, c hw.Cluster, m model.Transformer, groups [
 			resolve(j.group)
 			return struct{}{}, nil
 		}
-		if prune && j.replay && !j.exact {
+		if prune && !j.exact {
 			// Tier 2: the floor failed to settle this candidate against the
 			// incumbent; pay the exact O(ops) replay once. Both tiers are
 			// admissible, so tightening the bound here can only turn "maybe"
@@ -910,20 +907,19 @@ func matchShape(a, b core.Plan) bool {
 }
 
 // seedGroups warm-starts each group's incumbent before the execution pass
-// runs: it exactly prices up to two seed candidates per group — the
-// group's own cheapest-floor replayable candidate, and (within a family,
-// descending batch order) the previous group's best seed's plan shape
-// re-matched in this group — publishes the best seed's true throughput as
-// the group incumbent, and dominance-marks the candidates whose floor
-// bound already falls below it. Soundness never relies on a neighbor's
-// throughput *value* (which belongs to a different batch): the neighbor
-// only nominates which candidate to price exactly here, and the published
-// incumbent is always a bit-exact replay of a candidate of this very
-// group, so the covers/update invariant is untouched. The pass is serial
-// and depends only on the enumeration, the floors and the replays, so the
-// Dominated counter stays deterministic at any worker count. Groups with
-// no replayable candidate (the list-scheduled V-schedule family) get no
-// seed and start against an empty incumbent.
+// runs: it exactly prices up to two seed candidates per group — the group's
+// own cheapest-floor candidate, and (within a family, descending batch
+// order) the previous group's best seed's plan shape re-matched in this
+// group — publishes the best seed's true throughput as the group incumbent,
+// and dominance-marks the candidates whose floor bound already falls below
+// it. Soundness never relies on a neighbor's throughput *value* (which
+// belongs to a different batch): the neighbor only nominates which
+// candidate to price exactly here, and the published incumbent is always a
+// bit-exact replay of a candidate of this very group, so the covers/update
+// invariant is untouched. The pass is serial and depends only on the
+// enumeration, the floors and the replays, so the Dominated counter stays
+// deterministic at any worker count. Every generator is priced exactly, so
+// every group with a candidate that passed its precheck gets a seed.
 func seedGroups(ctx context.Context, c hw.Cluster, m model.Transformer, groups [][]core.Plan, keys []string, jobs []job, bounds []int, lbs []float64, incs []incumbent, rc *schedule.ReplayCache, par *engine.Params, famStats []*FamilyStats, stats *Stats) error {
 	// Family key ascending, batch descending: the largest batch resolves
 	// first, so its winner shape — typically stable across adjacent grid
@@ -947,11 +943,11 @@ func seedGroups(ctx context.Context, c hw.Cluster, m model.Transformer, groups [
 			return err
 		}
 		seg := jobs[bounds[gi]:bounds[gi+1]]
-		// Own seed: the replayable candidate with the smallest floor (the
-		// fastest-looking one; strict < keeps the lowest index on ties).
+		// Own seed: the candidate with the smallest floor (the fastest-looking
+		// one; strict < keeps the lowest index on ties).
 		own := -1
 		for i := range seg {
-			if seg[i].failed || !seg[i].replay {
+			if seg[i].failed {
 				continue
 			}
 			if own < 0 || lbs[bounds[gi]+i] < lbs[bounds[gi]+own] {
@@ -964,7 +960,7 @@ func seedGroups(ctx context.Context, c hw.Cluster, m model.Transformer, groups [
 		neighbor := -1
 		if prev, ok := prevWinner[keys[gi]]; ok {
 			for i := range seg {
-				if seg[i].failed || !seg[i].replay || i == own {
+				if seg[i].failed || i == own {
 					continue
 				}
 				if matchShape(seg[i].plan, prev) {
